@@ -11,8 +11,6 @@ package cuttlefish
 // the full tables). Micro-benchmarks for the hot simulator paths follow.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -255,47 +253,30 @@ func BenchmarkMachineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepWorkers measures one quantum across engine worker
-// counts: the sharded driver's dispatch-plus-barrier cost versus the serial
-// path (on multi-core hosts the sharded rows win; on a single-CPU host they
-// expose pure coordination overhead).
-func BenchmarkEngineStepWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := machine.DefaultConfig()
-			cfg.Workers = workers
-			m := machine.MustNew(cfg)
-			defer m.Close()
-			seg := workload.Segment{Instructions: 1e18, MissPerInstr: 0.05, IPC: 2}
-			m.SetSource(sched.NewWorkSharing(20, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 20}}, 1), 1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
-			}
-		})
-	}
-}
-
 // BenchmarkEngineRunBatching measures a full daemon-paced run (a component
-// every 20 ms, the paper's Tinv) with run-to-next-event batching on
-// (batch=0: one engine dispatch per Tinv window) versus off (batch=1: one
-// dispatch per quantum, the pre-engine behaviour).
+// every 20 ms, the paper's Tinv) with run-to-next-event batching (one
+// engine dispatch per Tinv window) versus Step-driven quantum-at-a-time
+// dispatch, the pre-engine behaviour.
 func BenchmarkEngineRunBatching(b *testing.B) {
-	for _, batch := range []int{1, 0} {
-		name := "per-quantum"
-		if batch == 0 {
-			name = "to-next-event"
+	for _, perQuantum := range []bool{true, false} {
+		name := "to-next-event"
+		if perQuantum {
+			name = "per-quantum"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := machine.DefaultConfig()
-				cfg.BatchQuanta = batch
-				m := machine.MustNew(cfg)
+				m := machine.MustNew(machine.DefaultConfig())
 				m.Schedule(&machine.Component{Period: 20e-3, Tick: func(float64) float64 { return 0 }}, 20e-3)
 				seg := workload.Segment{Instructions: 5e6, MissPerInstr: 0.03, IPC: 2}
 				src := sched.NewWorkSharing(20, sched.StaticProgram([]sched.Region{{Seg: seg, Chunks: 400}}, 40), 1)
 				m.SetSource(src)
-				m.Run(60)
+				if perQuantum {
+					for !m.Finished() && m.Now() < 60 {
+						m.Step()
+					}
+				} else {
+					m.Run(60)
+				}
 				if !m.Finished() {
 					b.Fatal("run did not finish")
 				}
@@ -395,7 +376,6 @@ func BenchmarkGovernorDispatch(b *testing.B) {
 			if err := detach(); err != nil {
 				b.Fatal(err)
 			}
-			m.Close()
 		}
 	}
 	b.Run("direct", func(b *testing.B) {

@@ -103,6 +103,10 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // runConfig carries the parsed flags; a struct rather than a positional
 // list so adding a knob cannot silently swap two same-typed arguments.
 type runConfig struct {
@@ -124,9 +128,6 @@ type runConfig struct {
 }
 
 func run(rc runConfig) error {
-	// Engine knobs (sim_workers, batch_quanta) travel inside each spec —
-	// they are part of the content hash, so the server never rewrites
-	// them behind the cache key's back.
 	cfg := service.Config{Workers: rc.workers, QueueDepth: rc.queue, CacheEntries: rc.cache,
 		Metrics: obs.NewRegistry(), Profile: rc.profile}
 	if rc.traces > 0 || rc.traceDir != "" {
@@ -180,7 +181,8 @@ func run(rc runConfig) error {
 		}()
 	}
 
-	srv := &http.Server{Addr: rc.addr, Handler: logRequests(service.NewHandler(svc))}
+	srv := &http.Server{Addr: rc.addr, Handler: logRequests(service.NewHandler(svc)),
+		ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

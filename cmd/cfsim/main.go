@@ -44,8 +44,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write per-Tinv CSV trace to this file")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		listGov   = flag.Bool("list-governors", false, "list registered governors and exit")
-		workers   = flag.Int("workers", 0, "engine worker goroutines sharding the simulated cores (0/1 = serial)")
-		batch     = flag.Int("batch", 0, "max quanta per engine dispatch (0 = run to next event)")
 	)
 	flag.Parse()
 	if *list {
@@ -71,7 +69,7 @@ func main() {
 	cfg := runConfig{
 		govName: *govName, model: *model, scale: *scale, seed: *seed,
 		cores: *cores, tinv: *tinv, cf: freq.Ratio(*cf), uf: freq.Ratio(*uf),
-		format: *format, traceOut: *traceOut, workers: *workers, batch: *batch,
+		format: *format, traceOut: *traceOut,
 	}
 	if err := run(*benchName, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "cfsim: %v\n", err)
@@ -89,8 +87,6 @@ type runConfig struct {
 	cf, uf   freq.Ratio
 	format   string
 	traceOut string
-	workers  int
-	batch    int
 }
 
 func run(benchName string, rc runConfig) error {
@@ -108,13 +104,10 @@ func run(benchName string, rc runConfig) error {
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.Cores = rc.cores
-	mcfg.Workers = rc.workers
-	mcfg.BatchQuanta = rc.batch
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return err
 	}
-	defer m.Close()
 
 	att, err := g.Attach(m)
 	if err != nil {

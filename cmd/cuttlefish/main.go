@@ -93,8 +93,6 @@ func newFlagSet(opt *experiments.Options) *flag.FlagSet {
 	fs.Float64Var(&opt.TinvSec, "tinv", opt.TinvSec, "daemon profiling interval in seconds")
 	fs.Float64Var(&opt.WarmupSec, "warmup", opt.WarmupSec, "cuttlefish daemon warmup before its first wake, in simulated seconds (negative = none; part of the spec identity)")
 	fs.IntVar(&opt.Workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&opt.SimWorkers, "simworkers", 0, "engine workers sharding each simulated machine's cores (0/1 = serial)")
-	fs.IntVar(&opt.BatchQuanta, "batch", 0, "max quanta per engine dispatch (0 = run to next event)")
 	fs.StringVar(&opt.Governor, "governor", "", "registered governor for single-environment experiments (default: each experiment's paper environment; see -list-governors)")
 	fs.StringVar(&format, "format", format, "report format: text | json | csv")
 	fs.StringVar(&remote, "remote", remote, "execute against a cfserve instance at this URL instead of in-process (e.g. http://localhost:8080)")

@@ -94,7 +94,6 @@ func fixedRun(name string, cf, uf uint8) error {
 	if err != nil {
 		return err
 	}
-	defer m.Close()
 	for c := 0; c < 20; c++ {
 		m.Device().Write(msr.IA32PerfCtl, c, msr.PerfCtlRaw(cf))
 	}
@@ -128,7 +127,6 @@ func daemonRun(name string, scale float64) error {
 	if err != nil {
 		return err
 	}
-	defer m.Close()
 	cfg := core.DefaultConfig()
 	d, err := core.NewDaemon(cfg, m.Device(), 20, m.Config().CoreGrid, m.Config().UncoreGrid, 0)
 	if err != nil {

@@ -46,12 +46,9 @@ import (
 // Machine is the simulated multicore socket programs run on.
 type Machine = machine.Machine
 
-// MachineConfig configures the simulated socket, including the execution
-// engine's knobs: Workers shards the socket's cores across that many
-// persistent host goroutines, and BatchQuanta caps how many quanta the
-// engine runs per dispatch between component deadlines (0 = run to the
-// next event). Most callers never touch it — NewMachine's options cover
-// the common knobs and WithMachineConfig is the escape hatch.
+// MachineConfig configures the simulated socket. Most callers never touch
+// it — NewMachine's options cover the common knobs and WithMachineConfig
+// is the escape hatch.
 type MachineConfig = machine.Config
 
 // DefaultMachineConfig returns the paper's evaluation machine: a 20-core
@@ -150,18 +147,9 @@ type Option func(*config)
 // WithCores sets the simulated core count (default: the paper's 20).
 func WithCores(n int) Option { return func(c *config) { c.machine.Cores = n } }
 
-// WithWorkers shards the simulated socket's cores across n persistent
-// engine goroutines (0/1 = serial). Results are bit-identical across
-// worker counts.
-func WithWorkers(n int) Option { return func(c *config) { c.machine.Workers = n } }
-
-// WithBatchQuanta caps how many quanta the engine runs per dispatch
-// (0 = run to the next component deadline).
-func WithBatchQuanta(n int) Option { return func(c *config) { c.machine.BatchQuanta = n } }
-
 // WithMachineConfig replaces the whole machine configuration — the escape
 // hatch for non-default grids or power models. Options apply in argument
-// order, so later WithCores/WithWorkers still win over it.
+// order, so a later WithCores still wins over it.
 func WithMachineConfig(cfg MachineConfig) Option {
 	return func(c *config) { c.machine = cfg }
 }
@@ -193,7 +181,7 @@ func WithStatic(cfRatio, ufRatio int) Option {
 }
 
 // NewMachine builds a simulated socket from the options (WithCores,
-// WithWorkers, WithBatchQuanta, WithMachineConfig).
+// WithMachineConfig).
 func NewMachine(opts ...Option) (*Machine, error) {
 	return machine.New(newConfig(opts).machine)
 }

@@ -162,7 +162,6 @@ func runAblated(spec bench.Spec, v AblationVariant, opt Options, seed int64) (ab
 	if err != nil {
 		return out, err
 	}
-	defer m.Close()
 	// Resolve Tinv/warmup exactly like every registry-built daemon, then
 	// layer the ablation switches on top.
 	dcfg := opt.tuning().DaemonConfig(core.PolicyBoth)

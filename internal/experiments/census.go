@@ -27,7 +27,6 @@ func sampleRun(spec bench.Spec, opt Options, seed int64, g governor.Governor) (*
 	if err != nil {
 		return nil, 0, err
 	}
-	defer m.Close()
 	// Arm the flight recorder before attach so the governor sees it and
 	// records its decision events (nil stays nil: zero cost when off).
 	m.SetTimeline(opt.Timeline)

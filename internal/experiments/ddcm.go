@@ -82,7 +82,6 @@ func runThrottled(spec bench.Spec, opt Options, cfRatio uint8, ddcmLevel uint8) 
 	if err != nil {
 		return out, err
 	}
-	defer m.Close()
 	// The ddcm governor pins the uncore at the firmware's quiet point, so
 	// only the core knob varies between the rows.
 	att, err := governor.NewDDCM(freq.Ratio(cfRatio), ddcmLevel).Attach(m)

@@ -52,14 +52,6 @@ type Options struct {
 	Model bench.Model
 	// Workers bounds concurrent simulations; 0 means GOMAXPROCS.
 	Workers int
-	// SimWorkers shards each simulated machine's cores across that many
-	// engine goroutines (machine.Config.Workers). The default 0 keeps
-	// machines serial, which is right when Workers already saturates the
-	// host with independent simulations.
-	SimWorkers int
-	// BatchQuanta caps the engine's run-to-next-event batching
-	// (machine.Config.BatchQuanta); 0 means unbounded.
-	BatchQuanta int
 	// Governor overrides the execution environment of single-environment
 	// harnesses (Table1); empty means each harness's paper default.
 	Governor string
@@ -107,13 +99,10 @@ type Options struct {
 // independent simulations out on.
 func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }
 
-// machineConfig builds the simulated socket's configuration, wiring the
-// engine knobs through.
+// machineConfig builds the simulated socket's configuration.
 func (o Options) machineConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Cores = o.Cores
-	cfg.Workers = o.SimWorkers
-	cfg.BatchQuanta = o.BatchQuanta
 	cfg.Profile = o.Profile
 	return cfg
 }
@@ -223,7 +212,6 @@ func runSource(name string, nominalSec float64, build func(cores int) (workload.
 	if err != nil {
 		return RunResult{}, err
 	}
-	defer m.Close()
 	m.SetTimeline(opt.Timeline)
 	att, err := g.Attach(m)
 	if err != nil {

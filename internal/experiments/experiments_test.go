@@ -384,44 +384,6 @@ func TestRunOneUnknownGovernor(t *testing.T) {
 	}
 }
 
-// TestGovernorDeterminismSerialVsSharded is the cross-governor determinism
-// contract: the same seed under the same governor must produce bit-identical
-// Joules and Seconds whether the engine runs serial or sharded across
-// workers. It drives a work-sharing benchmark — the engine's determinism
-// contract covers sources whose scheduling is independent of same-quantum
-// call order, which the work-sharing runtime guarantees (hash-derived chunk
-// jitter, one-quantum barrier release latency); the stealing runtime's
-// random victim selection is the documented exception.
-func TestGovernorDeterminismSerialVsSharded(t *testing.T) {
-	spec := mustSpec(t, "SOR-ws")
-	for _, gov := range []string{
-		governor.Default, governor.Cuttlefish, governor.Static,
-		governor.DDCM, governor.Powersave, governor.Ondemand,
-	} {
-		t.Run(gov, func(t *testing.T) {
-			o := testOptions()
-			o.Scale = 0.04
-			run := func(simWorkers int) RunResult {
-				o := o
-				o.SimWorkers = simWorkers
-				res, err := RunOne(spec, gov, o, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			serial, sharded := run(0), run(3)
-			if serial.Joules != sharded.Joules || serial.Seconds != sharded.Seconds {
-				t.Errorf("%s not deterministic across workers: serial (%.9g J, %.9g s) vs sharded (%.9g J, %.9g s)",
-					gov, serial.Joules, serial.Seconds, sharded.Joules, sharded.Seconds)
-			}
-			if serial.Joules <= 0 || serial.Seconds <= 0 {
-				t.Errorf("%s degenerate run %+v", gov, serial)
-			}
-		})
-	}
-}
-
 // TestTable1UnderAlternativeGovernors is the acceptance path behind
 // `cuttlefish -governor=<name> table1`: the census must run under any
 // registered strategy.

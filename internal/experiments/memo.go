@@ -27,19 +27,16 @@ const memoContainerMagic = "cfmemo1\n"
 
 // prefixKeys derives the snapshot key chain for one run: keys[k] commits
 // to everything the simulation's future depends on after k completed
-// regions. The base digest covers the machine configuration (with the
-// engine worker count zeroed — work-sharing results are bit-identical
-// across worker counts, so snapshots are shareable across them), the
+// regions. The base digest covers the machine configuration, the
 // governor name and tuning, the seed and the simulation deadline; each
 // link then absorbs one region's exact values (IEEE-754 bit patterns, so
 // "almost equal" programs never collide). Two runs agree on keys[k] iff
 // they are bit-identical through their first k regions.
 func prefixKeys(cfg machine.Config, govName string, t governor.Tuning, seed int64, maxSim float64, regions []sched.Region) ([]string, error) {
 	keyCfg := cfg
-	keyCfg.Workers = 0
-	// Profile, like Workers, is pure wall-clock instrumentation with no
-	// effect on simulated state: snapshots are shareable across profiled
-	// and unprofiled runs, so it must not fork the key chain.
+	// Profile is pure wall-clock instrumentation with no effect on
+	// simulated state: snapshots are shareable across profiled and
+	// unprofiled runs, so it must not fork the key chain.
 	keyCfg.Profile = false
 	cfgJSON, err := json.Marshal(keyCfg)
 	if err != nil {
@@ -245,7 +242,6 @@ func memoRun(e scenario.Entry, g governor.Governor, opt Options, seed int64) (re
 		if err != nil {
 			return RunResult{}, 0, 0, err
 		}
-		defer m.Close()
 		m.SetTimeline(opt.Timeline)
 		att, err := g.Attach(m)
 		if err != nil {

@@ -158,50 +158,6 @@ func TestMemoMidPrefixResume(t *testing.T) {
 	}
 }
 
-// TestMemoSnapshotsShareAcrossSimWorkers resumes a snapshot taken by a
-// serial engine on a sharded one: worker count is excluded from the key
-// chain because the engine is bit-identical across it, and this pins that
-// the shared snapshot still reproduces the plain sharded run exactly.
-func TestMemoSnapshotsShareAcrossSimWorkers(t *testing.T) {
-	e := burstyEntry(t)
-	const gov = "cuttlefish"
-	serial := memoTestOptions()
-	serial.SimWorkers = 1
-	sharded := memoTestOptions()
-	sharded.SimWorkers = 4
-
-	plain, err := RunEntry(e, gov, sharded, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tier := memo.New(0, nil)
-	serial.Memo = tier
-	if _, err := RunEntry(e, gov, serial, 1); err != nil {
-		t.Fatal(err)
-	}
-	keys, points := memoKeysAndPoints(t, e, gov, serial, 1)
-	mid := points[len(points)/2]
-	body, ok := tier.Get(keys[mid])
-	if !ok {
-		t.Fatalf("serial run stored no snapshot at boundary %d", mid)
-	}
-	warmTier := memo.New(0, nil)
-	warmTier.Put(keys[mid], body)
-
-	sharded.Memo = warmTier
-	rs := &memo.RunStats{}
-	sharded.MemoStats = rs
-	warm, err := RunEntry(e, gov, sharded, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, "serial snapshot resumed on sharded engine", warm, plain)
-	if v := rs.View(); v.PrefixHits != 1 {
-		t.Errorf("stats = %+v, want a prefix hit", v)
-	}
-}
-
 // TestMemoCorruptSnapshotFallsBack plants defective snapshots under valid
 // keys and requires every one to be treated as a miss: the run re-executes
 // from boot and stays bit-identical to the memo-free result.

@@ -52,7 +52,6 @@ func Sweep(name string, opt Options, cfStride, ufStride int) ([]SweepPoint, erro
 		if err != nil {
 			return err
 		}
-		defer m.Close()
 		att, err := governor.NewStatic(p.CF, p.UF).Attach(m)
 		if err != nil {
 			return err

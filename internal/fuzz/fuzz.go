@@ -14,11 +14,10 @@
 //
 // Determinism contract: a corpus is a pure function of (N, seed, the
 // generator's distribution constants) and every differential cell is a
-// pure function of its RunSpec — the fuzzer pins SimWorkers/BatchQuanta
-// to their serial defaults in every spec it emits, so findings are
-// identical across host parallelism settings, across the local/remote
-// backends, and across cold/warm cache tiers (which change only how fast
-// the same canonical bytes come back).
+// pure function of its RunSpec, so findings are identical across host
+// parallelism settings, across the local/remote backends, and across
+// cold/warm cache tiers (which change only how fast the same canonical
+// bytes come back).
 package fuzz
 
 import (

@@ -60,7 +60,6 @@ func TestAttachDetachBracketsMSRState(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			m := testMachine(t, 4)
-			defer m.Close()
 			cfg := m.Config()
 			g, err := New(name, Tuning{CF: 15, UF: 20, WarmupSec: -1, TinvSec: 5e-3})
 			if err != nil {
@@ -104,7 +103,6 @@ func TestAttachDetachBracketsMSRState(t *testing.T) {
 
 func TestStaticPinsRequestedRatios(t *testing.T) {
 	m := testMachine(t, 2)
-	defer m.Close()
 	att, err := NewStatic(16, 22).Attach(m)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +118,6 @@ func TestStaticPinsRequestedRatios(t *testing.T) {
 
 func TestPowersavePinsMinima(t *testing.T) {
 	m := testMachine(t, 2)
-	defer m.Close()
 	att, err := New(Powersave, Tuning{})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +137,6 @@ func TestPowersavePinsMinima(t *testing.T) {
 
 func TestOndemandReactsToLoad(t *testing.T) {
 	m := testMachine(t, 4)
-	defer m.Close()
 	att, err := NewOndemand(0).Attach(m)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +166,6 @@ func TestOndemandReactsToLoad(t *testing.T) {
 
 func TestCuttlefishAttachmentCarriesDaemon(t *testing.T) {
 	m := testMachine(t, 4)
-	defer m.Close()
 	g, err := New(Cuttlefish, Tuning{TinvSec: 5e-3, WarmupSec: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -192,6 +192,44 @@ func TestKumaraswamyInvCDFStaysInUnitInterval(t *testing.T) {
 	}
 }
 
+// kumaraswamyMoment is the analytic raw moment of Kumaraswamy(a, b):
+// E[X^n] = b·B(1 + n/a, b), with the beta function evaluated through
+// log-gamma to stay finite for large shapes.
+func kumaraswamyMoment(a, b float64, n int) float64 {
+	x := 1 + float64(n)/a
+	lx, _ := math.Lgamma(x)
+	lb, _ := math.Lgamma(b)
+	lxb, _ := math.Lgamma(x + b)
+	return b * math.Exp(lx+lb-lxb)
+}
+
+// TestKumaraswamyMoments checks the Sampler's empirical raw moments
+// E[X^n], n = 1..3, against the closed form b·B(1 + n/a, b) over shapes
+// with a ≠ 1, where the distribution is not a Beta. The tolerance is five
+// standard errors, each from the analytic variance E[X^2n] − E[X^n]².
+func TestKumaraswamyMoments(t *testing.T) {
+	const draws = 40000
+	for _, sh := range []struct{ a, b float64 }{{1, 4}, {2, 3}, {0.5, 2}, {5, 1.5}} {
+		s := NewSampler(11)
+		xs := make([]float64, draws)
+		for i := range xs {
+			xs[i] = s.Kumaraswamy(sh.a, sh.b, 0, 1)
+		}
+		for n := 1; n <= 3; n++ {
+			sum := 0.0
+			for _, x := range xs {
+				sum += math.Pow(x, float64(n))
+			}
+			got := sum / draws
+			want := kumaraswamyMoment(sh.a, sh.b, n)
+			sd := math.Sqrt(kumaraswamyMoment(sh.a, sh.b, 2*n) - want*want)
+			if tol := 5 * sd / math.Sqrt(draws); math.Abs(got-want) > tol {
+				t.Errorf("a=%g b=%g: E[X^%d] = %.5f, want %.5f ± %.5f", sh.a, sh.b, n, got, want, tol)
+			}
+		}
+	}
+}
+
 func TestSamplerDeterministicStreams(t *testing.T) {
 	draw := func(seed int64) []float64 {
 		s := NewSampler(seed)

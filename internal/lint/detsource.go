@@ -42,7 +42,7 @@ var detsourceForbidden = map[string]map[string]forbiddenFunc{
 		"Hostname": {hint: "host identity must not reach simulated state"},
 	},
 	"runtime": {
-		"NumCPU":     {hint: "host topology must not shape simulated work (use Config.Cores / SimWorkers)"},
+		"NumCPU":     {hint: "host topology must not shape simulated work (use Config.Cores)"},
 		"GOMAXPROCS": {hint: "host topology must not shape simulated work"},
 	},
 }

@@ -29,21 +29,10 @@ type Config struct {
 	// Mem and Power are the memory-path and power models.
 	Mem   mem.Params
 	Power power.Params
-	// Workers > 1 shards cores across that many persistent engine worker
-	// goroutines. 0 or 1 selects the serial driver. Both drivers walk the
-	// same arithmetic in the same order; results are bit-identical for
-	// sources whose scheduling does not depend on same-quantum call order
-	// across cores (see the engine's concurrency notes).
-	Workers int
-	// BatchQuanta caps how many quanta the engine executes per dispatch
-	// when Run batches between component deadlines. 0 means unbounded
-	// (run to the next event), which is the fast default; 1 reproduces
-	// quantum-at-a-time stepping.
-	BatchQuanta int
-	// Profile enables wall-clock self-accounting: per-worker busy time and
-	// per-batch dispatch wall time, read through Machine.Profile. It adds
-	// two clock reads per worker per quantum and never affects simulated
-	// state — results are bit-identical with it on or off.
+	// Profile enables wall-clock self-accounting: per-batch dispatch wall
+	// time and batch/quantum counts, read through Machine.Profile. It adds
+	// two clock reads per batch and never affects simulated state —
+	// results are bit-identical with it on or off.
 	Profile bool
 }
 
@@ -79,12 +68,6 @@ func (c Config) Validate() error {
 	}
 	if c.TrafficAlpha <= 0 || c.TrafficAlpha > 1 {
 		return fmt.Errorf("machine: traffic alpha must be in (0,1], got %g", c.TrafficAlpha)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("machine: workers must be non-negative, got %d", c.Workers)
-	}
-	if c.BatchQuanta < 0 {
-		return fmt.Errorf("machine: batch quanta must be non-negative, got %d", c.BatchQuanta)
 	}
 	return nil
 }

@@ -2,10 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/freq"
 	"repro/internal/perfmon"
@@ -14,10 +10,9 @@ import (
 )
 
 // engine executes simulation quanta for one Machine. It owns the hot path:
-// a persistent worker pool (no per-step goroutine spawn), per-core state
-// sharded into engine-local buffers so core stepping runs lock-free on a
-// snapshot/commit protocol, and run-to-next-event batching that executes
-// many quanta per dispatch.
+// per-core state copied into engine-local buffers so core stepping runs
+// lock-free on a snapshot/commit protocol, and run-to-next-event batching
+// that executes many quanta per dispatch.
 //
 // Concurrency protocol: the Machine snapshots its state into the engine,
 // dispatches one batch, then commits the engine's results back under its
@@ -25,15 +20,14 @@ import (
 // handlers, components and the public accessors all run between batches),
 // so core stepping needs no locks at all. Cross-core coupling — the miss
 // demand EWMA, the queueing-model stall cost, package power and the
-// firmware uncore governor — is updated once per quantum by whichever
-// participant reaches the quantum barrier last, in deterministic core-index
-// order, so Workers=1 and Workers=N walk bit-identical arithmetic.
+// firmware uncore governor — is updated once per quantum, after every core
+// has stepped, in core-index order.
 type engine struct {
 	cfg  Config
 	pmu  *perfmon.PMU
 	rapl *power.Rapl
 
-	// Batch inputs, written by the snapshot and read by all participants.
+	// Batch inputs, written by the snapshot.
 	src       workload.Source
 	firmware  UncoreFirmware
 	boundary  BoundarySource // src when it counts boundaries, else nil
@@ -42,8 +36,7 @@ type engine struct {
 	snaps     []coreSnap
 	runs      []coreRun
 
-	// Quantum-evolving globals. Only the barrier reducer writes these; the
-	// barrier's release edge publishes them to the other participants.
+	// Quantum-evolving globals, written by reduce.
 	now                  float64
 	demandEWMA           float64
 	uncore               freq.Ratio
@@ -59,24 +52,6 @@ type engine struct {
 	deltas                       []quantumDelta // reusable per-quantum buffer
 	accum                        []quantumDelta // per-core totals over the batch
 	retired                      []float64      // reusable PMU batch-update buffer
-
-	// Wall-clock self-accounting (Config.Profile). profBusy[w] is cumulative
-	// nanoseconds worker w spent stepping cores (not barrier waits). Workers
-	// write their own slot during a batch; the Machine reads between batches,
-	// after wg.Wait establishes the ordering.
-	profile  bool
-	profBusy []int64
-
-	// Persistent worker pool (spawned lazily on the first parallel batch).
-	workers    int
-	shards     [][2]int
-	bar        barrier
-	wake       []chan struct{}
-	wg         sync.WaitGroup // batch checkout: workers still inside runShard
-	stopCh     chan struct{}
-	spawned    bool
-	closeMu    sync.Once
-	closedFlag atomic.Bool
 }
 
 // coreSnap is the per-core input of one batch, immutable while it runs:
@@ -89,11 +64,10 @@ type coreSnap struct {
 	stolen float64 // daemon tax charged against the batch's first quantum
 }
 
-// coreRun is the per-core mutable execution state during a batch; it is
-// written only by the worker that owns the core's shard. invCompute and
-// stallCoef cache the segment's per-instruction cost coefficients so the
-// steady state (same segment across many quanta) pays one division per
-// quantum instead of two plus a branch.
+// coreRun is the per-core mutable execution state during a batch.
+// invCompute and stallCoef cache the segment's per-instruction cost
+// coefficients so the steady state (same segment across many quanta) pays
+// one division per quantum instead of two plus a branch.
 type coreRun struct {
 	seg        workload.Segment
 	segLeft    float64
@@ -103,14 +77,7 @@ type coreRun struct {
 }
 
 func newEngine(cfg Config, pmu *perfmon.PMU, rapl *power.Rapl) *engine {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > cfg.Cores {
-		workers = cfg.Cores
-	}
-	e := &engine{
+	return &engine{
 		cfg:     cfg,
 		pmu:     pmu,
 		rapl:    rapl,
@@ -119,77 +86,23 @@ func newEngine(cfg Config, pmu *perfmon.PMU, rapl *power.Rapl) *engine {
 		deltas:  make([]quantumDelta, cfg.Cores),
 		accum:   make([]quantumDelta, cfg.Cores),
 		retired: make([]float64, cfg.Cores),
-		workers: workers,
-		profile: cfg.Profile,
 	}
-	e.profBusy = make([]int64, workers)
-	e.shards = make([][2]int, workers)
-	for w := 0; w < workers; w++ {
-		e.shards[w] = [2]int{w * cfg.Cores / workers, (w + 1) * cfg.Cores / workers}
-	}
-	return e
 }
 
 // run executes the prepared batch to completion.
 func (e *engine) run() {
-	if e.workers <= 1 || e.closed() {
-		for !e.batchOver {
-			first := e.quantum == 0
-			var t0 time.Time
-			if e.profile {
-				t0 = time.Now() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; profBusy is excluded from reports, spec hashes and memo keys
-			}
-			for i := range e.runs {
-				e.stepCoreFree(i, first, &e.deltas[i])
-			}
-			if e.profile {
-				e.profBusy[0] += time.Since(t0).Nanoseconds() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; never feeds simulated state
-			}
-			e.reduce()
-		}
-		return
-	}
-	e.ensureWorkers()
-	e.wg.Add(e.workers - 1)
-	for w := 1; w < e.workers; w++ {
-		e.wake[w] <- struct{}{}
-	}
-	e.runShard(0)
-	// Wait for every worker to leave runShard before the caller reuses the
-	// batch state: a worker that has passed the final barrier but not yet
-	// read batchOver must not observe the next batch's reset of it.
-	e.wg.Wait()
-}
-
-// runShard steps the cores of one shard through the batch, synchronising
-// with the other shards at the per-quantum barrier. The last participant to
-// arrive performs the global reduction while the rest wait.
-func (e *engine) runShard(w int) {
-	lo, hi := e.shards[w][0], e.shards[w][1]
-	for {
+	for !e.batchOver {
 		first := e.quantum == 0
-		var t0 time.Time
-		if e.profile {
-			t0 = time.Now() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; profBusy is excluded from reports, spec hashes and memo keys
-		}
-		for i := lo; i < hi; i++ {
+		for i := range e.runs {
 			e.stepCoreFree(i, first, &e.deltas[i])
 		}
-		if e.profile {
-			e.profBusy[w] += time.Since(t0).Nanoseconds() //cfvet:allow(detsource) profiling wall-clock behind Config.Profile; never feeds simulated state
-		}
-		e.bar.await(e.reduce)
-		if e.batchOver {
-			return
-		}
+		e.reduce()
 	}
 }
 
 // reduce merges one quantum: per-core deltas into batch accumulators, the
 // socket-wide miss demand EWMA, package power into RAPL, and the firmware
-// uncore governor. It runs with every other participant parked at the
-// barrier, and always walks cores in index order so the floating-point
-// result is independent of the worker count.
+// uncore governor. It walks cores in index order.
 func (e *engine) reduce() {
 	dt := e.dt
 	var instr, missL, missR, corePower float64
@@ -259,8 +172,8 @@ func (e *engine) reduce() {
 }
 
 // stepCoreFree executes core i for one quantum, writing its accounting to
-// d. It touches only engine-local state and the (concurrency-safe) workload
-// source — no machine locks on this path.
+// d. It touches only engine-local state and the workload source — no
+// machine locks on this path.
 func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 	s := &e.snaps[i]
 	r := &e.runs[i]
@@ -333,73 +246,5 @@ func (e *engine) stepCoreFree(i int, first bool, d *quantumDelta) {
 	}
 	if budget > 0 {
 		d.idleSec += budget
-	}
-}
-
-// ensureWorkers spawns the persistent pool on first use: workers-1
-// goroutines parked on wake channels, shard 0 always executed by the
-// dispatching goroutine.
-func (e *engine) ensureWorkers() {
-	if e.spawned {
-		return
-	}
-	e.spawned = true
-	e.stopCh = make(chan struct{})
-	e.bar.participants = int32(e.workers)
-	e.wake = make([]chan struct{}, e.workers)
-	for w := 1; w < e.workers; w++ {
-		e.wake[w] = make(chan struct{}, 1)
-		go e.workerLoop(w)
-	}
-}
-
-func (e *engine) workerLoop(w int) {
-	for {
-		select {
-		case <-e.stopCh:
-			return
-		case <-e.wake[w]:
-		}
-		e.runShard(w)
-		e.wg.Done()
-	}
-}
-
-// close releases the worker pool. Safe to call multiple times and from the
-// runtime cleanup goroutine; a closed engine falls back to the serial path.
-func (e *engine) close() {
-	e.closeMu.Do(func() {
-		e.closedFlag.Store(true)
-		if e.spawned {
-			close(e.stopCh)
-		}
-	})
-}
-
-func (e *engine) closed() bool { return e.closedFlag.Load() }
-
-// closedFlag is separate from closeMu so run() can check it without
-// synchronising against a concurrent runtime cleanup (which only fires once
-// the Machine is unreachable, i.e. when no run() can be in flight).
-
-// barrier is a sense-reversing spin barrier. The last participant to arrive
-// runs the reduction while the others wait for the generation flip; the
-// atomic flip publishes everything the reduction wrote.
-type barrier struct {
-	participants int32
-	count        atomic.Int32
-	gen          atomic.Uint32
-}
-
-func (b *barrier) await(reduce func()) {
-	gen := b.gen.Load()
-	if b.count.Add(1) == b.participants {
-		b.count.Store(0)
-		reduce()
-		b.gen.Add(1)
-		return
-	}
-	for b.gen.Load() == gen {
-		runtime.Gosched()
 	}
 }

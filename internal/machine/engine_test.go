@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -61,68 +60,46 @@ func (s *laneSource) Done() bool {
 	return true
 }
 
-// engineRun executes a fixed workload with the given engine configuration
-// and returns the exact totals.
-func engineRun(t *testing.T, workers, batchQuanta int) (instr, joules, now float64) {
+// engineRun executes a fixed workload and returns the exact totals. With
+// step set it drives the machine one quantum at a time through Step;
+// otherwise Run batches between component deadlines.
+func engineRun(t *testing.T, step bool) (instr, joules, now float64) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.Workers = workers
-	cfg.BatchQuanta = batchQuanta
 	m := MustNew(cfg)
-	defer m.Close()
 	// A daemon-like component taxing core 0 plus the Auto-style firmware
 	// exercise the event queue and the per-quantum governor during the run.
 	m.SetFirmware(pinFirmware{target: 24})
 	m.Schedule(&Component{Period: 10e-3, Core: 0, Tick: func(float64) float64 { return 20e-6 }}, 10e-3)
 	m.SetSource(newLaneSource(cfg.Cores, 40, workload.Segment{Instructions: 3e6, MissPerInstr: 0.02, IPC: 2}))
-	m.Run(120)
+	if step {
+		for !m.Finished() && m.Now() < 120 {
+			m.Step()
+		}
+	} else {
+		m.Run(120)
+	}
 	if !m.Finished() {
 		t.Fatal("workload did not finish")
 	}
 	return m.TotalInstructions(), m.TotalEnergy(), m.Now()
 }
 
-// TestEngineDeterministicAcrossWorkers is the sharded-engine determinism
-// contract: for a source whose scheduling is independent of cross-core call
-// order, Workers=1 and Workers=N produce bit-identical totals.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	refInstr, refJoules, refNow := engineRun(t, 1, 0)
-	if refInstr <= 0 || refJoules <= 0 {
-		t.Fatalf("degenerate reference run: %g instr, %g J", refInstr, refJoules)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		instr, joules, now := engineRun(t, workers, 0)
-		if instr != refInstr || joules != refJoules || now != refNow {
-			t.Errorf("workers=%d diverged: instr %v vs %v, joules %v vs %v, now %v vs %v",
-				workers, instr, refInstr, joules, refJoules, now, refNow)
-		}
-	}
-}
-
 // TestEngineDeterministicAcrossBatching: the run-to-next-event batching
 // must not change physics — every quantum's arithmetic (and hence energy
-// and the clock) is identical for any BatchQuanta. Lifetime instruction
-// totals are accumulated per batch, so their float additions group
-// differently across settings; they may differ by an ulp, no more.
+// and the clock) is identical to quantum-at-a-time stepping. Lifetime
+// instruction totals are accumulated per batch, so their float additions
+// group differently; they may differ by an ulp, no more.
 func TestEngineDeterministicAcrossBatching(t *testing.T) {
-	refInstr, refJoules, refNow := engineRun(t, 1, 1)
-	check := func(label string, instr, joules, now float64) {
-		t.Helper()
-		if joules != refJoules || now != refNow {
-			t.Errorf("%s diverged: joules %v vs %v, now %v vs %v", label, joules, refJoules, now, refNow)
-		}
-		if math.Abs(instr-refInstr) > 1e-9*refInstr {
-			t.Errorf("%s instruction total %v vs %v beyond summation-order slack", label, instr, refInstr)
-		}
+	refInstr, refJoules, refNow := engineRun(t, true)
+	instr, joules, now := engineRun(t, false)
+	if joules != refJoules || now != refNow {
+		t.Errorf("batched run diverged: joules %v vs %v, now %v vs %v", joules, refJoules, now, refNow)
 	}
-	for _, bq := range []int{0, 7, 40} {
-		instr, joules, now := engineRun(t, 1, bq)
-		check(fmt.Sprintf("batchQuanta=%d", bq), instr, joules, now)
+	if math.Abs(instr-refInstr) > 1e-9*refInstr {
+		t.Errorf("batched instruction total %v vs %v beyond summation-order slack", instr, refInstr)
 	}
-	// And batching composes with sharding.
-	instr, joules, now := engineRun(t, 4, 16)
-	check("workers=4/batch=16", instr, joules, now)
 }
 
 // TestStepMatchesRun: driving the machine by hand with Step must agree with
@@ -155,9 +132,8 @@ func TestStepMatchesRun(t *testing.T) {
 	}
 }
 
-// stealingSource hands out segments from a single shared pool, so parallel
-// workers contend on NextSegment/Complete — the concurrency shape the
-// engine must drive race-free (run under -race in CI).
+// stealingSource hands out segments from a single shared pool, so every
+// core draws from the same NextSegment/Complete state.
 type stealingSource struct {
 	mu       sync.Mutex
 	remain   int
@@ -188,15 +164,12 @@ func (s *stealingSource) Done() bool {
 	return s.remain == 0 && s.inFlight == 0
 }
 
-// TestEngineParallelSharedSource exercises the sharded engine against a
-// contended source and checks work conservation. Under -race this is the
-// regression test for the snapshot/commit protocol and the quantum barrier.
+// TestEngineParallelSharedSource drives the engine against a source that
+// all cores draw from and checks work conservation.
 func TestEngineParallelSharedSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.Workers = 4
 	m := MustNew(cfg)
-	defer m.Close()
 	const nSeg, perSeg = 96, 1e6
 	src := &stealingSource{remain: nSeg, seg: workload.Segment{Instructions: perSeg, MissPerInstr: 0.01, IPC: 2}}
 	m.SetSource(src)
@@ -207,33 +180,6 @@ func TestEngineParallelSharedSource(t *testing.T) {
 	}
 	if got, want := m.TotalInstructions(), float64(nSeg)*perSeg; math.Abs(got-want) > 1 {
 		t.Errorf("retired %.0f instructions, want %.0f", got, want)
-	}
-}
-
-// TestEngineWorkerPoolReuse: repeated batches must reuse the persistent
-// pool; this is a smoke test that dispatch survives many Run/Step cycles
-// and that Close is idempotent.
-func TestEngineWorkerPoolReuse(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 4
-	cfg.Workers = 4
-	m := MustNew(cfg)
-	for round := 0; round < 5; round++ {
-		src := newLaneSource(cfg.Cores, 4, workload.Segment{Instructions: 1e6, IPC: 2})
-		m.SetSource(src)
-		m.Run(30)
-		if !src.Done() {
-			t.Fatalf("round %d did not drain", round)
-		}
-	}
-	m.Close()
-	m.Close() // idempotent
-	// After Close the machine still runs (serial fallback).
-	src := newLaneSource(cfg.Cores, 2, workload.Segment{Instructions: 1e6, IPC: 2})
-	m.SetSource(src)
-	m.Run(30)
-	if !src.Done() {
-		t.Fatal("post-Close run did not drain")
 	}
 }
 

@@ -10,16 +10,14 @@
 // the daemon reads the PMU and RAPL registers. This keeps the control path
 // under study identical to the paper's.
 //
-// Execution is driven by an internal engine (engine.go): quanta run in
-// batches between component deadlines on a snapshot/commit protocol, with
-// an optional persistent worker pool sharding cores across host goroutines
-// (Config.Workers) and a min-heap event queue ordering the components.
+// Execution is driven by an internal serial engine (engine.go): quanta run
+// in batches between component deadlines on a snapshot/commit protocol,
+// with a min-heap event queue ordering the components.
 package machine
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -111,9 +109,8 @@ type Machine struct {
 }
 
 // Profile is the engine's wall-clock self-accounting: how long batch
-// dispatches took and how much of that each worker spent actually stepping
-// cores (the remainder is barrier wait plus snapshot/commit — the
-// parallelization overhead). All fields are zero unless Config.Profile.
+// dispatches took and how many batches and quanta they ran. All fields are
+// zero unless Config.Profile.
 type Profile struct {
 	Enabled bool `json:"enabled"`
 	// RunWallNs is total wall time inside batch dispatch (snapshot, step,
@@ -122,9 +119,6 @@ type Profile struct {
 	// Batches and Quanta count engine dispatches and simulated quanta.
 	Batches int64 `json:"batches"`
 	Quanta  int64 `json:"quanta"`
-	// WorkerBusyNs[w] is wall time worker w spent stepping its core shard;
-	// RunWallNs - WorkerBusyNs[w] is that worker's idle (wait) time.
-	WorkerBusyNs []int64 `json:"worker_busy_ns"`
 }
 
 // Profile returns the accumulated wall-clock accounting. Zero-valued (with
@@ -135,11 +129,10 @@ func (m *Machine) Profile() Profile {
 	}
 	m.mu.Lock()
 	p := Profile{
-		Enabled:      true,
-		RunWallNs:    m.profWallNs,
-		Batches:      m.profBatch,
-		Quanta:       m.profQuanta,
-		WorkerBusyNs: append([]int64(nil), m.engine.profBusy...),
+		Enabled:   true,
+		RunWallNs: m.profWallNs,
+		Batches:   m.profBatch,
+		Quanta:    m.profQuanta,
 	}
 	m.mu.Unlock()
 	return p
@@ -183,13 +176,6 @@ func New(cfg Config) (*Machine, error) {
 	m.installFrequencyHandlers()
 	m.installRaplHandler()
 	m.engine = newEngine(cfg, m.pmu, m.rapl)
-	if m.engine.workers > 1 {
-		// Safety net for machines that are dropped without Close: release
-		// the worker pool when the Machine becomes unreachable. The engine
-		// deliberately holds no back-pointer to the Machine, so the workers
-		// never keep it alive.
-		runtime.AddCleanup(m, func(e *engine) { e.close() }, m.engine)
-	}
 	return m, nil
 }
 
@@ -202,10 +188,11 @@ func MustNew(cfg Config) *Machine {
 	return m
 }
 
-// Close releases the engine's persistent worker pool. It is idempotent and
-// only needed for deterministic teardown of Workers > 1 machines; machines
-// dropped without Close are cleaned up when garbage-collected.
-func (m *Machine) Close() { m.engine.close() }
+// Close releases nothing: the serial engine holds no goroutines or other
+// resources.
+//
+// Deprecated: Close is a no-op kept so that existing callers compile.
+func (m *Machine) Close() {}
 
 // SetSource attaches the workload. It must be called before Run. Sources
 // implementing BoundarySource additionally get boundary batching: every
@@ -451,7 +438,7 @@ func (m *Machine) StealCoreTime(i int, sec float64) {
 //
 // Run executes quanta in batches: the event queue bounds each batch at the
 // next component deadline, so the hot loop dispatches once per deadline
-// window instead of once per quantum (Config.BatchQuanta caps the window).
+// window instead of once per quantum.
 func (m *Machine) Run(maxSim float64) float64 { return m.run(maxSim, nil) }
 
 // RunBoundaries is Run with a region-boundary callback for sources that
@@ -498,9 +485,6 @@ func (m *Machine) run(maxSim float64, fn func(int) bool) float64 {
 			if ke := quantaUntil(now, next-1e-12, dt); ke < k {
 				k = ke
 			}
-		}
-		if bq := m.cfg.BatchQuanta; bq > 0 && k > bq {
-			k = bq
 		}
 		m.runBatch(k)
 		m.fireDue()
@@ -615,14 +599,6 @@ func (m *Machine) runBatch(quanta int) {
 	}
 
 	e.run()
-
-	// Drop the borrowed references immediately: a source or firmware that
-	// points back at the Machine would otherwise make the Machine reachable
-	// from the engine and defeat the runtime.AddCleanup safety net that
-	// releases the worker pool.
-	e.src = nil
-	e.firmware = nil
-	e.boundary = nil
 
 	m.mu.Lock()
 	for i := range m.cores {

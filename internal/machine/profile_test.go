@@ -8,14 +8,12 @@ import (
 
 // profiledRun executes a short workload with Profile on or off and returns
 // the exact totals plus the profile.
-func profiledRun(t *testing.T, workers int, profile bool) (instr, joules float64, p Profile) {
+func profiledRun(t *testing.T, profile bool) (instr, joules float64, p Profile) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 8
-	cfg.Workers = workers
 	cfg.Profile = profile
 	m := MustNew(cfg)
-	defer m.Close()
 	m.SetSource(newLaneSource(cfg.Cores, 10, workload.Segment{Instructions: 2e6, MissPerInstr: 0.02, IPC: 2}))
 	m.Run(30)
 	if !m.Finished() {
@@ -24,48 +22,31 @@ func profiledRun(t *testing.T, workers int, profile bool) (instr, joules float64
 	return m.TotalInstructions(), m.TotalEnergy(), m.Profile()
 }
 
-// TestProfileAccounting: with Profile on, the machine reports batch counts,
-// quanta and per-worker busy time; busy time never exceeds total dispatch
-// wall time.
+// TestProfileAccounting: with Profile on, the machine reports dispatch wall
+// time, batch counts and quanta.
 func TestProfileAccounting(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, _, p := profiledRun(t, workers, true)
-		if !p.Enabled {
-			t.Fatalf("workers=%d: profile not enabled", workers)
-		}
-		if p.Batches <= 0 || p.Quanta <= 0 || p.RunWallNs <= 0 {
-			t.Errorf("workers=%d: empty accounting %+v", workers, p)
-		}
-		want := workers
-		if workers > 8 {
-			want = 8
-		}
-		if len(p.WorkerBusyNs) != want {
-			t.Fatalf("workers=%d: %d busy slots, want %d", workers, len(p.WorkerBusyNs), want)
-		}
-		for w, busy := range p.WorkerBusyNs {
-			if busy <= 0 {
-				t.Errorf("workers=%d: worker %d recorded no busy time", workers, w)
-			}
-			if busy > p.RunWallNs {
-				t.Errorf("workers=%d: worker %d busy %d ns exceeds wall %d ns", workers, w, busy, p.RunWallNs)
-			}
-		}
+	_, _, p := profiledRun(t, true)
+	if !p.Enabled {
+		t.Fatal("profile not enabled")
+	}
+	if p.Batches <= 0 || p.Quanta <= 0 || p.RunWallNs <= 0 {
+		t.Errorf("empty accounting %+v", p)
+	}
+	if p.Quanta < p.Batches {
+		t.Errorf("%d quanta over %d batches: every batch runs at least one quantum", p.Quanta, p.Batches)
 	}
 }
 
 // TestProfileDoesNotPerturbResults is the determinism-boundary contract at
 // the engine layer: profiling must leave simulated state bit-identical.
 func TestProfileDoesNotPerturbResults(t *testing.T) {
-	refInstr, refJoules, refP := profiledRun(t, 1, false)
-	if refP.Enabled || refP.RunWallNs != 0 || refP.WorkerBusyNs != nil {
+	refInstr, refJoules, refP := profiledRun(t, false)
+	if refP != (Profile{}) {
 		t.Fatalf("profile off must report a zero Profile, got %+v", refP)
 	}
-	for _, workers := range []int{1, 4} {
-		instr, joules, _ := profiledRun(t, workers, true)
-		if instr != refInstr || joules != refJoules {
-			t.Errorf("workers=%d profiled run diverged: instr %v vs %v, joules %v vs %v",
-				workers, instr, refInstr, joules, refJoules)
-		}
+	instr, joules, _ := profiledRun(t, true)
+	if instr != refInstr || joules != refJoules {
+		t.Errorf("profiled run diverged: instr %v vs %v, joules %v vs %v",
+			instr, refInstr, joules, refJoules)
 	}
 }

@@ -19,7 +19,6 @@ func midRunMachine(t *testing.T) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	regions := []sched.Region{
 		{Seg: workload.Segment{Instructions: 4e8, MissPerInstr: 1e-3, IPC: 1.5, RemoteFrac: 0.2, Exposure: 0.5}, Chunks: 8, JitterFrac: 0.1},
 		{Seg: workload.Segment{Instructions: 2e8, MissPerInstr: 8e-3, IPC: 0.7, RemoteFrac: 0.4, Exposure: 0.9}, Chunks: 8, JitterFrac: 0.1},
@@ -62,7 +61,6 @@ func TestSnapshotRestoreReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
 	if err := m2.Restore(s); err != nil {
 		t.Fatal(err)
 	}

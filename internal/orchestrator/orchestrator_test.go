@@ -106,8 +106,12 @@ func TestSweepSpreadsAcrossBackends(t *testing.T) {
 // completes, and its aggregated report is byte-identical to a
 // single-backend run of the same sweep.
 func TestFailoverWhenBackendDiesMidSweep(t *testing.T) {
-	dying := &stubBackend{name: "dying", dieAfter: 3}
-	healthy := &stubBackend{name: "healthy"}
+	// Latency keeps one run in flight per backend, so least-loaded
+	// dispatch alternates and the dying backend is sure to see a fourth
+	// call; with instant backends it could be starved below dieAfter and
+	// never fail over.
+	dying := &stubBackend{name: "dying", dieAfter: 3, latency: time.Millisecond}
+	healthy := &stubBackend{name: "healthy", latency: time.Millisecond}
 	o, err := New(Config{Backends: []Backend{dying, healthy}, Concurrency: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -143,6 +143,14 @@ func TestParseSweepSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSweepSpec([]byte(`{"axes": {"scales": {"dist": "zipf"}}}`)); err != nil {
 		t.Fatalf("parse should defer distribution validation to Expand: %v", err)
 	}
+	// The removed engine knobs are unknown fields of the base spec too.
+	for _, field := range []string{"sim_workers", "batch_quanta"} {
+		doc := `{"base": {"` + field + `": 2}, "axes": {"benchmarks": ["UTS"]}}`
+		_, err := ParseSweepSpec([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("base.%s: err = %v, want an unknown-field error naming it", field, err)
+		}
+	}
 }
 
 func TestExpandErrors(t *testing.T) {

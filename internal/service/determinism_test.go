@@ -140,71 +140,3 @@ func TestScenarioCachedEqualsFreshByteIdentical(t *testing.T) {
 		t.Errorf("scenario run seconds = %v, want positive", rep.Rows[0]["seconds"])
 	}
 }
-
-// TestScenarioDeterministicAcrossEngineWorkers is the scenario half of
-// the engine determinism contract: a work-sharing DSL scenario — whose
-// jitter is pure index hashing, never a sequential draw — must produce
-// bit-identical reports whether the simulated machine runs serial or
-// sharded across engine workers. (The specs still hash separately;
-// sim_workers stays in the content hash for the stealing runtimes.)
-func TestScenarioDeterministicAcrossEngineWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real simulation")
-	}
-	ctx := context.Background()
-
-	serial := scenarioSpec(t)
-	sharded := serial
-	sharded.SimWorkers = 3
-	if serial.Hash() == sharded.Hash() {
-		t.Fatal("serial and sharded scenario specs must have distinct content addresses")
-	}
-
-	s1 := newTestService(t, Config{Workers: 1})
-	r1, err := s1.Submit(ctx, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestService(t, Config{Workers: 1})
-	r2, err := s2.Submit(ctx, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Body, r2.Body) {
-		t.Error("work-sharing scenario must produce identical bytes serial vs sharded")
-	}
-}
-
-// TestShardedSpecIsDistinctButDeterministic pins the two halves of the
-// execution-knob decision. SimWorkers is part of the content hash because
-// stealing benchmarks (like realSpec's Heat-irt) are order-dependent
-// across engine workers; for a work-sharing source the engine's
-// determinism contract does hold, and a sharded execution reproduces the
-// serial bytes even though it lives under its own cache key.
-func TestShardedSpecIsDistinctButDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real simulation")
-	}
-	ctx := context.Background()
-
-	serial := RunSpec{Benchmark: "SOR-ws", Governor: "cuttlefish", Scale: 0.04, Reps: 1}
-	sharded := serial
-	sharded.SimWorkers = 3
-	if serial.Hash() == sharded.Hash() {
-		t.Fatal("serial and sharded specs must have distinct content addresses")
-	}
-
-	s1 := newTestService(t, Config{Workers: 1})
-	r1, err := s1.Submit(ctx, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestService(t, Config{Workers: 1})
-	r2, err := s2.Submit(ctx, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Body, r2.Body) {
-		t.Error("work-sharing source must produce identical bytes serial vs sharded (engine determinism contract)")
-	}
-}

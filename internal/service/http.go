@@ -266,12 +266,22 @@ func handleTimeline(s *Service, w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// maxSpecBytes bounds a POSTed RunSpec body. The largest committed inline
+// scenario_def is well under 2 KiB; the cap only stops a single request
+// from buffering unbounded input.
+const maxSpecBytes = 1 << 20
+
 func handleRuns(s *Service, w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields() // a typoed field silently changing the run would poison the hash
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	// Cross-process stitching: a client that traces its own side sends its

@@ -70,6 +70,28 @@ func TestHTTPRunTwiceSecondIsByteIdenticalHit(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedBody: a spec body past maxSpecBytes is refused
+// with 413 before it is buffered, and the service keeps serving.
+func TestHTTPRejectsOversizedBody(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1, Executor: (&stubExecutor{}).exec})
+	huge := `{"benchmark":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d, want 413", resp.StatusCode)
+	}
+	ok := postRun(t, srv.URL, testSpec(1))
+	io.Copy(io.Discard, ok.Body)
+	ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Errorf("after an oversized body: %d, want 200", ok.StatusCode)
+	}
+}
+
 func TestHTTPValidationAndBackpressureStatusCodes(t *testing.T) {
 	exec := &stubExecutor{gate: make(chan struct{})}
 	s, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Executor: exec.exec})

@@ -119,36 +119,3 @@ func TestObservabilityPreservesReportBytes(t *testing.T) {
 		}
 	}
 }
-
-// TestObservabilitySimWorkersByteIdentity crosses the tracing/profiling
-// axis with the engine-parallelism axis: a sharded engine under full
-// instrumentation must still emit the serial engine's exact bytes.
-// (SimWorkers is part of the spec hash, so these are distinct cache
-// entries; the bodies must nonetheless be identical.)
-func TestObservabilitySimWorkersByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real simulation")
-	}
-	ctx := context.Background()
-	instr := newObsService(t, Config{Workers: 2})
-
-	serial := memoSpec(1)
-	serial.SimWorkers = 1
-	sharded := memoSpec(1)
-	sharded.SimWorkers = 4
-
-	a, err := instr.Submit(ctx, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := instr.Submit(ctx, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Outcome != OutcomeMiss || b.Outcome != OutcomeMiss {
-		t.Fatalf("outcomes = %s/%s, want miss/miss (distinct hashes)", a.Outcome, b.Outcome)
-	}
-	if !bytes.Equal(a.Body, b.Body) {
-		t.Fatal("sharded engine under instrumentation differs from serial engine")
-	}
-}

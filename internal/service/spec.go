@@ -30,14 +30,13 @@ import (
 // to 400 responses; the wrapped message names the offending field.
 var ErrInvalidSpec = errors.New("service: invalid spec")
 
-// RunSpec is one simulation request as a value. Every field — including
-// the engine execution knobs SimWorkers and BatchQuanta — is part of the
-// canonical form and therefore of the content hash. The knobs stay in
-// deliberately: the engine's bit-determinism across worker counts is
-// guaranteed only for order-independent (work-sharing) sources, and the
-// work-stealing task runtimes are the documented exception, so folding a
-// sharded run and a serial run of a stealing benchmark into one cache
-// entry would serve bytes the other configuration never produces.
+// maxCores caps RunSpec.Cores. The machine allocates per-core state up
+// front, so an unbounded core count lets one request exhaust the server's
+// memory; the paper's socket has 20 cores.
+const maxCores = 1024
+
+// RunSpec is one simulation request as a value. Every field is part of the
+// canonical form and therefore of the content hash.
 type RunSpec struct {
 	// Experiment names the harness: "run" (single benchmark, the
 	// default), or any cuttlefish subcommand ("table1", "fig10", …).
@@ -73,10 +72,6 @@ type RunSpec struct {
 	WarmupSec float64 `json:"warmup_sec,omitempty"`
 	// Model selects the parallel runtime ("openmp" or "hclib").
 	Model string `json:"model,omitempty"`
-	// SimWorkers shards each simulated machine across engine goroutines.
-	SimWorkers int `json:"sim_workers,omitempty"`
-	// BatchQuanta caps the engine's run-to-next-event batching.
-	BatchQuanta int `json:"batch_quanta,omitempty"`
 }
 
 // experimentUsesGovernor lists the single-environment experiments whose
@@ -194,8 +189,8 @@ func (s RunSpec) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown model %q (want openmp or hclib)", ErrInvalidSpec, s.Model)
 	}
-	if s.Cores < 1 {
-		return fmt.Errorf("%w: cores must be positive, got %d", ErrInvalidSpec, s.Cores)
+	if s.Cores < 1 || s.Cores > maxCores {
+		return fmt.Errorf("%w: cores must be in [1, %d], got %d", ErrInvalidSpec, maxCores, s.Cores)
 	}
 	if s.Scale <= 0 {
 		return fmt.Errorf("%w: scale must be positive, got %g", ErrInvalidSpec, s.Scale)
@@ -241,8 +236,6 @@ func (s RunSpec) Options() experiments.Options {
 	opt.TinvSec = s.TinvSec
 	opt.WarmupSec = s.WarmupSec
 	opt.Model = bench.Model(s.Model)
-	opt.SimWorkers = s.SimWorkers
-	opt.BatchQuanta = s.BatchQuanta
 	opt.Governor = s.Governor
 	opt.Scenario = s.Scenario
 	opt.ScenarioDef = s.ScenarioDef
@@ -266,7 +259,5 @@ func SpecFromOptions(experiment, benchmark string, opt experiments.Options) RunS
 		TinvSec:     opt.TinvSec,
 		WarmupSec:   opt.WarmupSec,
 		Model:       string(opt.Model),
-		SimWorkers:  opt.SimWorkers,
-		BatchQuanta: opt.BatchQuanta,
 	}.Normalized()
 }

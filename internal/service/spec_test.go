@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -51,19 +53,53 @@ func TestHashTreatsDefaultsAsExplicit(t *testing.T) {
 	}
 }
 
-// TestHashIncludesExecutionKnobs: the engine's bit-determinism across
-// worker counts only covers order-independent (work-sharing) sources —
-// the stealing runtimes are the documented exception — so a sharded run
-// and a serial run must NOT share a cache entry.
-func TestHashIncludesExecutionKnobs(t *testing.T) {
-	serial := RunSpec{Benchmark: "UTS"}
-	sharded := RunSpec{Benchmark: "UTS", SimWorkers: 8}
-	batched := RunSpec{Benchmark: "UTS", BatchQuanta: 64}
-	if serial.Hash() == sharded.Hash() {
-		t.Error("sim_workers must be part of the content hash")
+// TestHashGolden pins content addresses computed before the engine's
+// sim_workers and batch_quanta fields were removed: both were omitempty,
+// so a spec that never set them must keep its hash and its cache entries.
+func TestHashGolden(t *testing.T) {
+	cases := []struct{ name, doc, hash string }{
+		{"run", `{"benchmark":"SOR-ws","governor":"cuttlefish","scale":0.04,"reps":1,"seed":7}`,
+			"7038d30646a51b598b840ba767627d491642b5dcd3a60d6b01e21d2de9950eef"},
+		{"table1", `{"experiment":"table1","scale":0.06,"reps":1}`,
+			"3b63f96de7037ead025867f9e1047d82d22c270af9e07561c5ff7a3497bf2d6d"},
+		{"scenario_def", `{"scenario_def":{"name":"bursty-custom","decomposition":"work-sharing","iterations":40,` +
+			`"phases":[{"name":"compute","instructions":6e11,"miss_per_instr":0.001,"ipc":2.1,"remote_frac":0.1,"jitter_frac":0.05},` +
+			`{"name":"burst","instructions":8e10,"miss_per_instr":0.12,"ipc":1.0,"remote_frac":0.35,"exposure":0.8,"miss_jitter":0.006}]},` +
+			`"governor":"cuttlefish","scale":0.05,"reps":1}`,
+			"0f9a201bcde7ca25cc1b25a1188e95be2696a4bc47cd60dedcb8b77edfc7707b"},
 	}
-	if serial.Hash() == batched.Hash() {
-		t.Error("batch_quanta must be part of the content hash")
+	for _, c := range cases {
+		var s RunSpec
+		if err := json.Unmarshal([]byte(c.doc), &s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := s.Hash(); got != c.hash {
+			t.Errorf("%s: hash %s, want %s", c.name, got, c.hash)
+		}
+	}
+}
+
+// TestHTTPRejectsRemovedEngineKnobs: the engine's sim_workers and
+// batch_quanta fields no longer exist, so a spec that still sends them is
+// an unknown-field 400 naming the field — never silently a different run.
+func TestHTTPRejectsRemovedEngineKnobs(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1, Executor: (&stubExecutor{}).exec})
+	for _, c := range []struct{ field, body string }{
+		{"sim_workers", `{"benchmark":"UTS","sim_workers":2}`},
+		{"batch_quanta", `{"benchmark":"UTS","batch_quanta":1}`},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.field, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), c.field) {
+			t.Errorf("%s: error body %q does not name the field", c.field, body)
+		}
 	}
 }
 
@@ -131,6 +167,7 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown model", RunSpec{Benchmark: "UTS", Model: "tbb"}, "model"},
 		{"negative scale", RunSpec{Benchmark: "UTS", Scale: -1}, "scale"},
 		{"negative cores", RunSpec{Benchmark: "UTS", Cores: -4}, "cores"},
+		{"cores above cap", RunSpec{Benchmark: "UTS", Cores: 1 << 30}, "cores"},
 		{"negative reps", RunSpec{Benchmark: "UTS", Reps: -1}, "reps"},
 		{"negative tinv", RunSpec{Benchmark: "UTS", TinvSec: -0.02}, "tinv"},
 	}
@@ -239,14 +276,12 @@ func TestSpecFromOptionsRoundTrip(t *testing.T) {
 	opt.Governor = "powersave"
 	opt.Scale = 0.07
 	opt.Seed = 42
-	opt.SimWorkers = 4
 	spec := SpecFromOptions("table1", "", opt)
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	back := spec.Options()
-	if back.Governor != opt.Governor || back.Scale != opt.Scale ||
-		back.Seed != opt.Seed || back.SimWorkers != opt.SimWorkers ||
+	if back.Governor != opt.Governor || back.Scale != opt.Scale || back.Seed != opt.Seed ||
 		back.Cores != opt.Cores || back.Reps != opt.Reps {
 		t.Errorf("round trip lost fields: sent %+v, got %+v", opt, back)
 	}
