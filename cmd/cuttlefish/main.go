@@ -105,8 +105,8 @@ func newFlagSet(opt *experiments.Options) *flag.FlagSet {
 	fs.StringVar(&memoDir, "memo-dir", memoDir, "persistent snapshot directory below the memo LRU (implies -memo; survives invocations)")
 	fs.Int64Var(&memoMaxBytes, "memo-max-bytes", memoMaxBytes, "memo LRU byte budget (0 = 64 MiB)")
 	fs.StringVar(&traceOut, "trace-out", traceOut, "write the in-process run's span trace as Chrome trace-event JSON to this file (implies -profile)")
-	fs.StringVar(&timelineOut, "timeline-out", timelineOut, "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it as JSON to this file")
-	fs.BoolVar(&profileFlag, "profile", profileFlag, "record per-phase and per-worker wall time into the trace's simulate spans")
+	fs.StringVar(&timelineOut, "timeline-out", timelineOut, "record the in-process run's flight-recorder timeline (per-quantum frequencies, IPC, energy, governor decisions) and write it to this file: JSON, or CSV when the path ends in .csv")
+	fs.BoolVar(&profileFlag, "profile", profileFlag, "record per-phase wall time into the trace's simulate spans")
 	fs.BoolVar(&listGov, "list-governors", false, "list registered governors and exit")
 	fs.BoolVar(&listScen, "list-scenarios", false, "list registered workloads (benchmarks and scenarios) and exit")
 	fs.IntVar(&fuzzN, "n", fuzzN, "scenarios the fuzz subcommand generates before hash-dedup")
@@ -238,7 +238,7 @@ committed snapshot (new findings or regressions exit 1);
   cuttlefish fuzz -replay internal/fuzz/testdata/corpus
 
 -trace-out records the in-process run as a span tree — per-repetition
-lanes, per-region simulate spans, per-worker busy time — and writes it
+lanes, per-region simulate spans, per-phase engine time — and writes it
 as Chrome trace-event JSON (open at chrome://tracing or
 ui.perfetto.dev). Tracing never changes report bytes:
   cuttlefish run -bench bursty -trace-out trace.json
@@ -249,8 +249,10 @@ frequency, IPC, instructions, RAPL energy) and every governor decision
 (DVFS/UFS transitions, TIPI slab inserts, exploration phases) lands as
 an event. The JSON file is a pure function of the spec — two runs
 produce byte-identical timelines — and with -trace-out the counters are
-also folded into the Chrome trace as Perfetto value tracks:
+also folded into the Chrome trace as Perfetto value tracks. A path
+ending in .csv writes one flat CSV instead (sample and event rows):
   cuttlefish run -bench bursty -timeline-out timeline.json
+  cuttlefish run -bench AMG -governor default -reps 1 -timeline-out amg.csv
   cuttlefish run -bench bursty -trace-out trace.json -timeline-out timeline.json
 
 -memo adds a second cache tier for in-process execution: phase-boundary
@@ -398,15 +400,20 @@ func writeTrace(tr *obs.Trace, path string) error {
 	return nil
 }
 
-// writeTimeline dumps the flight recorder's export as indented JSON.
-// The bytes are a pure function of the spec: two runs of one spec
-// produce byte-identical files (the CI timeline-smoke job cmp's them).
+// writeTimeline dumps the flight recorder's export as indented JSON, or
+// as CSV when path ends in .csv. The bytes are a pure function of the
+// spec: two runs of one spec produce byte-identical files (the CI
+// timeline-smoke job cmp's them).
 func writeTimeline(rec *timeline.Recorder, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteJSON(f); err != nil {
+	write := rec.WriteJSON
+	if strings.EqualFold(filepath.Ext(path), ".csv") {
+		write = rec.WriteCSV
+	}
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

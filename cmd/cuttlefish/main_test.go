@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,5 +263,38 @@ func TestRunExperimentReport(t *testing.T) {
 	raw, err := json.Marshal(rep)
 	if err != nil || !json.Valid(raw) {
 		t.Errorf("marshal: %v", err)
+	}
+}
+
+// TestRunTimelineCSV: a -timeline-out path ending in .csv writes the
+// flight recorder's flat CSV export, and two runs of one spec write
+// byte-identical files.
+func TestRunTimelineCSV(t *testing.T) {
+	benchName = "Heat-irt"
+	defer func() { benchName, timelineOut = "", "" }()
+	o := tinyOptions()
+	o.Governor = "cuttlefish"
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		timelineOut = filepath.Join(dir, fmt.Sprintf("tl%d.csv", i))
+		if err := run("run", o, "json"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(timelineOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
+	}
+	lines := strings.Split(string(files[0]), "\n")
+	if !strings.HasPrefix(lines[0], "record,lane,t,") {
+		t.Fatalf("header = %q, want the record,lane,t,… CSV header", lines[0])
+	}
+	if len(lines) < 3 || !strings.HasPrefix(lines[1], "sample,") {
+		t.Errorf("no sample rows after the header: %q", lines[:min(len(lines), 3)])
+	}
+	if string(files[0]) != string(files[1]) {
+		t.Error("two runs of one spec wrote different timeline CSVs")
 	}
 }

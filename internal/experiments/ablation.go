@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/governor"
-	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
@@ -156,37 +155,23 @@ type ablatedOutcome struct {
 }
 
 func runAblated(spec bench.Spec, v AblationVariant, opt Options, seed int64) (ablatedOutcome, error) {
-	var out ablatedOutcome
-	mcfg := opt.machineConfig()
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return out, err
-	}
 	// Resolve Tinv/warmup exactly like every registry-built daemon, then
 	// layer the ablation switches on top.
 	dcfg := opt.tuning().DaemonConfig(core.PolicyBoth)
 	if err := v.apply(&dcfg); err != nil {
-		return out, err
+		return ablatedOutcome{}, err
 	}
-	att, err := governor.NewCuttlefishFromConfig(dcfg).Attach(m)
+	res, err := simulate(opt, runPlan{
+		name:    spec.Name,
+		gov:     governor.NewCuttlefishFromConfig(dcfg),
+		maxSim:  spec.PaperSeconds*opt.Scale*6 + opt.WarmupSec + 30,
+		prepare: benchSource(spec, opt, seed),
+	})
 	if err != nil {
-		return out, err
+		return ablatedOutcome{}, err
 	}
-	defer att.Detach()
-	daemon := att.Daemon()
-	src, err := spec.Build(bench.Params{Cores: mcfg.Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
-	if err != nil {
-		return out, err
-	}
-	m.SetSource(src)
-	out.seconds = m.Run(spec.PaperSeconds*opt.Scale*6 + opt.WarmupSec + 30)
-	if !m.Finished() {
-		return out, fmt.Errorf("experiments: %s/%s did not finish", spec.Name, v)
-	}
-	if err := att.Detach(); err != nil {
-		return out, err
-	}
-	out.joules = m.TotalEnergy()
+	out := ablatedOutcome{seconds: res.Seconds, joules: res.Joules}
+	daemon := res.Daemon
 	if s := daemon.Samples(); s > 0 {
 		out.explorationPct = 100 * float64(daemon.ExplorationSamples()) / float64(s)
 	}

@@ -5,10 +5,11 @@
 // Table 3 Tinv sensitivity study.
 //
 // Every harness constructs its frequency-control strategy through the
-// governor registry (repro/internal/governor): one RunOne path attaches a
-// named governor, runs the benchmark and detaches — the msr-safe
-// Save/Restore bracket and daemon teardown are uniform across success and
-// error paths.
+// governor registry (repro/internal/governor), and every harness drives
+// the machine through one driver, simulate: it attaches the governor,
+// runs the workload and detaches — the msr-safe Save/Restore bracket,
+// daemon teardown, simulate span, engine profile and flight recorder are
+// uniform across harnesses and across success and error paths.
 //
 // Absolute joules and seconds are simulator outputs; the contract is shape
 // fidelity (see EXPERIMENTS.md for the paper-vs-measured record).
@@ -157,6 +158,8 @@ type RunResult struct {
 	EDP      float64
 	// AvgUncoreGHz is the run's time-weighted uncore frequency.
 	AvgUncoreGHz float64
+	// Instructions is the run's retired instruction count.
+	Instructions float64
 	// Daemon carries the slab list for daemon-backed governors (nil
 	// otherwise).
 	Daemon *core.Daemon
@@ -170,7 +173,12 @@ func RunOne(spec bench.Spec, gov string, opt Options, seed int64) (RunResult, er
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runGovernor(spec, g, opt, seed)
+	return simulate(opt, runPlan{
+		name:    spec.Name,
+		gov:     g,
+		maxSim:  spec.PaperSeconds*opt.Scale*6 + opt.WarmupSec + 30,
+		prepare: benchSource(spec, opt, seed),
+	})
 }
 
 // RunEntry is RunOne for any workload in the scenario registry — a
@@ -188,61 +196,141 @@ func RunEntry(e scenario.Entry, gov string, opt Options, seed int64) (RunResult,
 			return res, err
 		}
 	}
-	return runSource(e.Name, e.NominalSeconds, func(cores int) (workload.Source, error) {
-		return e.Build(scenario.Params{Cores: cores, Scale: opt.Scale, Seed: seed, Model: string(opt.Model)})
-	}, g, opt)
+	return simulate(opt, runPlan{
+		name:   e.Name,
+		gov:    g,
+		maxSim: e.NominalSeconds*opt.Scale*6 + opt.WarmupSec + 30,
+		prepare: func(r *run) (workload.Source, error) {
+			return e.Build(scenario.Params{Cores: r.m.Config().Cores, Scale: opt.Scale, Seed: seed, Model: string(opt.Model)})
+		},
+	})
 }
 
-// runGovernor is RunOne for an already constructed strategy (the ablation
-// study and sweeps build theirs directly).
-func runGovernor(spec bench.Spec, g governor.Governor, opt Options, seed int64) (RunResult, error) {
-	return runSource(spec.Name, spec.PaperSeconds, func(cores int) (workload.Source, error) {
-		return spec.Build(bench.Params{Cores: cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
-	}, g, opt)
+// benchSource is the prepare hook of a Table 1 benchmark run.
+func benchSource(spec bench.Spec, opt Options, seed int64) func(*run) (workload.Source, error) {
+	return func(r *run) (workload.Source, error) {
+		return spec.Build(bench.Params{Cores: r.m.Config().Cores, Scale: opt.Scale, Seed: seed, Model: opt.Model})
+	}
 }
 
-// runSource executes one workload source under one attached governor:
-// the single simulation path every benchmark and scenario run funnels
-// through. nominalSec is the workload's approximate Default wall time at
-// Scale 1; the simulation deadline derives from it with generous
-// headroom.
-func runSource(name string, nominalSec float64, build func(cores int) (workload.Source, error), g governor.Governor, opt Options) (RunResult, error) {
-	cfg := opt.machineConfig()
-	m, err := machine.New(cfg)
+// runPlan is everything one harness varies about a machine run. The
+// sequence itself — boot, attach, prepare, observe, run, detach — lives
+// only in simulate.
+type runPlan struct {
+	// name labels the simulate span and the deadline error.
+	name string
+	gov  governor.Governor
+	// maxSim is the simulated-second deadline, measured from boot. Each
+	// harness keeps its own headroom: memo prefix keys hash it, and the
+	// fuzz baseline can see runs that miss it.
+	maxSim float64
+	// prepare supplies the workload once the governor is attached; the
+	// memo path also restores a snapshot into the machine here.
+	prepare func(r *run) (workload.Source, error)
+	// samples, when non-nil, collects a census profiler sample every Tinv.
+	samples *[]TinvSample
+	// boundary, when non-nil, is called at every region boundary with the
+	// new count; returning false stops further calls, not the run.
+	boundary func(r *run, n int) bool
+}
+
+// run is one machine in flight, as the driver hands it to a plan's hooks.
+type run struct {
+	m   *machine.Machine
+	att *governor.Attachment
+	// sp is the simulate span: nil before the simulation starts and
+	// whenever the run is untraced.
+	sp *obs.Span
+}
+
+// simulate is the one path every harness drives the machine through:
+// boot, arm the flight recorder, attach the governor, prepare the
+// workload, observe, run to completion under the plan's deadline, and
+// detach — checking Detach's error, so a failed MSR restore never
+// reports a good run. Every run gets the same simulate span, engine
+// profile and timeline wiring from Options.
+func simulate(opt Options, p runPlan) (RunResult, error) {
+	m, err := machine.New(opt.machineConfig())
 	if err != nil {
 		return RunResult{}, err
 	}
+	// Arm the flight recorder before attach so the governor sees it and
+	// records its decision events (nil stays nil: zero cost when off).
 	m.SetTimeline(opt.Timeline)
-	att, err := g.Attach(m)
+	att, err := p.gov.Attach(m)
 	if err != nil {
 		return RunResult{}, err
 	}
 	defer att.Detach() // uniform cleanup on every early return
-	src, err := build(cfg.Cores)
+	r := &run{m: m, att: att}
+	src, err := p.prepare(r)
 	if err != nil {
 		return RunResult{}, err
 	}
 	m.SetSource(src)
-	maxSim := nominalSec*opt.Scale*6 + opt.WarmupSec + 30
-	sp := opt.Span.Child("simulate")
-	sp.Set("workload", name)
-	sec := simulate(m, maxSim, sp, opt.Timeline)
-	finishSpan(sp, m, sec)
+	if p.samples != nil {
+		if err := observeTinv(m, opt.TinvSec, p.samples); err != nil {
+			return RunResult{}, err
+		}
+	}
+	start := m.Now()
+	r.sp = opt.Span.Child("simulate")
+	r.sp.Set("workload", p.name)
+	if start > 0 {
+		r.sp.Set("resume_sim_seconds", start)
+	}
+	if r.sp == nil && opt.Timeline == nil && p.boundary == nil {
+		m.Run(p.maxSim - start)
+	} else {
+		runBoundaries(r, p.maxSim-start, opt.Timeline, p.boundary)
+	}
+	finishSpan(r.sp, m, m.Now()-start)
 	if !m.Finished() {
-		return RunResult{}, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", name, g.Name(), maxSim)
+		return RunResult{}, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", p.name, p.gov.Name(), p.maxSim)
 	}
 	if err := att.Detach(); err != nil {
 		return RunResult{}, err
 	}
-	j := m.TotalEnergy()
+	sec, j := m.Now(), m.TotalEnergy()
 	return RunResult{
-		Governor:     g.Name(),
+		Governor:     p.gov.Name(),
 		Seconds:      sec,
 		Joules:       j,
 		EDP:          stats.EDP(j, sec),
 		AvgUncoreGHz: m.AvgUncoreGHz(),
+		Instructions: m.TotalInstructions(),
 		Daemon:       att.Daemon(),
 	}, nil
+}
+
+// observeTinv schedules the census observer: a core.Profiler that reads
+// the quantized MSR counters every Tinv — the instrumentation behind
+// Table 1 and Figs. 2–3 — and samples the flight recorder at the same
+// cut. It is a pure observer, so any governor can drive the run.
+func observeTinv(m *machine.Machine, tinv float64, out *[]TinvSample) error {
+	prof, err := core.NewProfiler(m.Device(), m.Config().Cores)
+	if err != nil {
+		return err
+	}
+	if err := prof.Reset(); err != nil {
+		return err
+	}
+	m.Schedule(&machine.Component{
+		Period: tinv,
+		Tick: func(now float64) float64 {
+			m.RecordTimeline()
+			s, err := prof.Sample()
+			if err != nil || !s.OK {
+				return 0
+			}
+			*out = append(*out, TinvSample{
+				Time: now, TIPI: s.TIPI, JPI: s.JPI,
+				CF: m.CoreRatio(0), UF: m.UncoreRatio(),
+			})
+			return 0
+		},
+	}, tinv)
+	return nil
 }
 
 // maxRegionSpans caps per-region trace spans for one simulation: past a
@@ -250,19 +338,17 @@ func runSource(name string, nominalSec float64, build func(cores int) (workload.
 // stops being cheap.
 const maxRegionSpans = 64
 
-// simulate runs m to completion. With a trace span it drives the machine
-// through RunBoundaries, recording one child span per region stretch (up
-// to maxRegionSpans) — span names carry the boundary index, so the trace
+// runBoundaries drives the machine through RunBoundaries. With a trace
+// span it records one child span per region stretch (up to
+// maxRegionSpans) — span names carry the boundary index, so the trace
 // structure is a pure function of the workload's region schedule. With a
 // flight recorder it samples the machine at entry, at every region
 // boundary (the same quiescent cuts the spans use) and after the run;
-// sampling continues past maxRegionSpans even though spans stop. Sources
-// that count no boundaries (or a nil span and recorder) take the plain
-// Run path with identical simulated results.
-func simulate(m *machine.Machine, maxSim float64, sp *obs.Span, rec *timeline.Recorder) float64 {
-	if sp == nil && rec == nil {
-		return m.Run(maxSim)
-	}
+// sampling continues past maxRegionSpans even though spans stop. hook,
+// when non-nil, sees every boundary until it returns false. The simulated
+// results are identical to the plain Run path.
+func runBoundaries(r *run, maxSim float64, rec *timeline.Recorder, hook func(*run, int) bool) {
+	m, sp := r.m, r.sp
 	if rec != nil {
 		m.RecordTimeline()
 	}
@@ -271,9 +357,12 @@ func simulate(m *machine.Machine, maxSim float64, sp *obs.Span, rec *timeline.Re
 		cur = sp.Child("region-0")
 	}
 	count := 0
-	sec := m.RunBoundaries(maxSim, func(n int) bool {
+	m.RunBoundaries(maxSim, func(n int) bool {
 		if rec != nil {
 			m.RecordTimeline()
+		}
+		if hook != nil && !hook(r, n) {
+			hook = nil
 		}
 		if cur != nil {
 			cur.Set("end_boundary", n)
@@ -285,18 +374,17 @@ func simulate(m *machine.Machine, maxSim float64, sp *obs.Span, rec *timeline.Re
 				cur = sp.Child(fmt.Sprintf("region-%d", n))
 			}
 		}
-		return cur != nil || rec != nil
+		return cur != nil || rec != nil || hook != nil
 	})
 	cur.End()
 	if rec != nil {
 		m.RecordTimeline()
 	}
-	return sec
 }
 
 // finishSpan closes a simulate span, attaching the simulated time and —
 // when the machine was built with Profile — the engine's wall-clock
-// accounting (per-phase simulated vs wall time, per-worker busy/idle).
+// accounting (per-phase simulated vs wall time).
 func finishSpan(sp *obs.Span, m *machine.Machine, simSec float64) {
 	if sp == nil {
 		return

@@ -31,18 +31,18 @@ const goldenBench = "Heat-irt"
 // slab in so short a run), so the fixed-frequency path is pinned directly.
 const goldenSweep = "sweep"
 
-// goldenBytes returns the bytes one golden line digests: the canonical
-// report of an experiment, the JSON of a small UTS sweep, or — for a
-// harness that fails at the golden configuration — its error text.
-func goldenBytes(name string) []byte {
+// goldenBytes returns the bytes one golden line digests under opt: the
+// canonical report of an experiment, the JSON of a small UTS sweep, or —
+// for a harness that fails at the golden configuration — its error text.
+func goldenBytes(name string, opt Options) []byte {
 	var b []byte
 	var err error
 	if name == goldenSweep {
 		var pts []SweepPoint
-		if pts, err = Sweep("UTS", goldenOptions(), 4, 6); err == nil {
+		if pts, err = Sweep("UTS", opt, 4, 6); err == nil {
 			b, err = json.Marshal(pts)
 		}
-	} else if rep, rerr := BuildReport(name, goldenBench, goldenOptions()); rerr != nil {
+	} else if rep, rerr := BuildReport(name, goldenBench, opt); rerr != nil {
 		err = rerr
 	} else {
 		b, err = rep.Encode()
@@ -53,11 +53,11 @@ func goldenBytes(name string) []byte {
 	return b
 }
 
-// TestReportDigests pins the canonical bytes of every experiment's report.
-// A refactor of the run path must leave all of them unchanged; after an
-// intended model change the computed lines it prints are the new
-// testdata/reports.sha256.
-func TestReportDigests(t *testing.T) {
+// goldenNames are the lines of testdata/reports.sha256, in file order.
+func goldenNames() []string { return append(Names[:len(Names):len(Names)], goldenSweep) }
+
+// goldenDigests parses testdata/reports.sha256's "<sha256>  <name>" lines.
+func goldenDigests() map[string]string {
 	want := map[string]string{}
 	sc := bufio.NewScanner(strings.NewReader(reportDigests))
 	for sc.Scan() {
@@ -65,11 +65,24 @@ func TestReportDigests(t *testing.T) {
 			want[f[1]] = f[0]
 		}
 	}
+	return want
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestReportDigests pins the canonical bytes of every experiment's report.
+// A refactor of the run path must leave all of them unchanged; after an
+// intended model change the computed lines it prints are the new
+// testdata/reports.sha256.
+func TestReportDigests(t *testing.T) {
+	want := goldenDigests()
 	var got strings.Builder
 	ok := true
-	for _, name := range append(Names[:len(Names):len(Names)], goldenSweep) {
-		sum := sha256.Sum256(goldenBytes(name))
-		d := hex.EncodeToString(sum[:])
+	for _, name := range goldenNames() {
+		d := digest(goldenBytes(name, goldenOptions()))
 		if d != want[name] {
 			ok = false
 			t.Errorf("%s: report digest %s, want %s", name, d, want[name])

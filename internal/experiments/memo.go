@@ -12,8 +12,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/timeline"
+	"repro/internal/workload"
 )
 
 // maxSnapshotsPerRun caps how many region boundaries one run snapshots.
@@ -233,99 +233,68 @@ func memoRun(e scenario.Entry, g governor.Governor, opt Options, seed int64) (re
 	probe.Set("total_regions", total)
 	probe.End()
 
-	// execute boots a machine, optionally restores the container's
-	// boundary state, and simulates to completion, snapshotting the
-	// selected later boundaries. resumeNow is the restored simulation
+	// execute runs the program through the driver, restoring the
+	// container's boundary state first when there is one, and snapshots
+	// the selected later boundaries. resumeNow is the restored simulation
 	// time (0 for a from-boot run).
-	execute := func(fromK int, container []byte) (RunResult, float64, int, error) {
-		m, err := machine.New(cfg)
-		if err != nil {
-			return RunResult{}, 0, 0, err
-		}
-		m.SetTimeline(opt.Timeline)
-		att, err := g.Attach(m)
-		if err != nil {
-			return RunResult{}, 0, 0, err
-		}
-		defer att.Detach()
+	execute := func(fromK int, container []byte) (res RunResult, resumeNow float64, stored int, err error) {
 		var ws *sched.WorkSharing
-		if container != nil {
-			restore := opt.Span.Child("memo_restore")
-			msnap, govBlob, cp, err := decodeContainer(container)
-			if err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if cp.RegionsDone != fromK {
-				return RunResult{}, 0, 0, fmt.Errorf("experiments: snapshot records %d regions, key position says %d", cp.RegionsDone, fromK)
-			}
-			snap, err := machine.DecodeSnapshot(msnap)
-			if err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if err := m.Restore(snap); err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			if err := att.StateRestore(govBlob); err != nil {
-				return RunResult{}, 0, 0, err
-			}
-			ws = sched.NewWorkSharingAt(cfg.Cores, gen, seed, cp)
-			restore.Set("from_k", fromK)
-			restore.End()
-			// The prefix-restore marker: a resumed timeline legitimately
-			// starts here rather than at boot, so the marker is what lets a
-			// reader line it up against a fresh run's recording.
-			opt.Timeline.AddEvent(timeline.Event{T: m.Now(), Kind: timeline.KindMemoRestore, From: fromK})
-		} else {
-			ws = sched.NewWorkSharing(cfg.Cores, gen, seed)
-		}
-		m.SetSource(ws)
-		resumeNow := m.Now()
-		stored := 0
-		sim := opt.Span.Child("simulate")
-		sim.Set("resume_sim_seconds", resumeNow)
-		if opt.Timeline != nil {
-			m.RecordTimeline()
-		}
-		m.RunBoundaries(maxSim-resumeNow, func(n int) bool {
-			if opt.Timeline != nil {
-				m.RecordTimeline()
-			}
-			if !points[n] {
+		res, err = simulate(opt, runPlan{
+			name:   e.Name,
+			gov:    g,
+			maxSim: maxSim,
+			prepare: func(r *run) (workload.Source, error) {
+				if container == nil {
+					ws = sched.NewWorkSharing(cfg.Cores, gen, seed)
+					return ws, nil
+				}
+				restore := opt.Span.Child("memo_restore")
+				msnap, govBlob, cp, err := decodeContainer(container)
+				if err != nil {
+					return nil, err
+				}
+				if cp.RegionsDone != fromK {
+					return nil, fmt.Errorf("experiments: snapshot records %d regions, key position says %d", cp.RegionsDone, fromK)
+				}
+				snap, err := machine.DecodeSnapshot(msnap)
+				if err != nil {
+					return nil, err
+				}
+				if err := r.m.Restore(snap); err != nil {
+					return nil, err
+				}
+				if err := r.att.StateRestore(govBlob); err != nil {
+					return nil, err
+				}
+				ws = sched.NewWorkSharingAt(cfg.Cores, gen, seed, cp)
+				restore.Set("from_k", fromK)
+				restore.End()
+				// The prefix-restore marker: a resumed timeline legitimately
+				// starts here rather than at boot, so the marker is what lets a
+				// reader line it up against a fresh run's recording.
+				resumeNow = r.m.Now()
+				opt.Timeline.AddEvent(timeline.Event{T: resumeNow, Kind: timeline.KindMemoRestore, From: fromK})
+				return ws, nil
+			},
+			boundary: func(r *run, n int) bool {
+				if !points[n] {
+					return true
+				}
+				cp, ok := ws.Checkpoint()
+				if !ok || cp.RegionsDone != n {
+					return true
+				}
+				govBlob, err := r.att.StateSnapshot()
+				if err != nil {
+					return false // e.g. a latched daemon error; stop snapshotting
+				}
+				opt.Memo.Put(keys[n], encodeContainer(r.m.Snapshot().Encode(), govBlob, cp))
+				stored++
+				r.sp.Set("snapshots_stored", stored)
 				return true
-			}
-			cp, ok := ws.Checkpoint()
-			if !ok || cp.RegionsDone != n {
-				return true
-			}
-			govBlob, err := att.StateSnapshot()
-			if err != nil {
-				return false // e.g. a latched daemon error; stop snapshotting
-			}
-			opt.Memo.Put(keys[n], encodeContainer(m.Snapshot().Encode(), govBlob, cp))
-			stored++
-			return true
+			},
 		})
-		sim.Set("snapshots_stored", stored)
-		if opt.Timeline != nil {
-			m.RecordTimeline()
-		}
-		finishSpan(sim, m, m.Now()-resumeNow)
-		if !m.Finished() {
-			return RunResult{}, resumeNow, stored, fmt.Errorf("experiments: %s/%s did not finish in %.0f simulated seconds", e.Name, g.Name(), maxSim)
-		}
-		if err := att.Detach(); err != nil {
-			return RunResult{}, resumeNow, stored, err
-		}
-		sec := m.Now()
-		j := m.TotalEnergy()
-		return RunResult{
-			Governor:     g.Name(),
-			Seconds:      sec,
-			Joules:       j,
-			EDP:          stats.EDP(j, sec),
-			AvgUncoreGHz: m.AvgUncoreGHz(),
-			Daemon:       att.Daemon(),
-		}, resumeNow, stored, nil
+		return res, resumeNow, stored, err
 	}
 
 	resumed := false
