@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 //go:embed testdata/reports.sha256
@@ -31,8 +34,28 @@ const goldenBench = "Heat-irt"
 // slab in so short a run), so the fixed-frequency path is pinned directly.
 const goldenSweep = "sweep"
 
+// goldenTaskDAG names the golden line for the scenario DSL's task-dag
+// decomposition: a "run" of goldenDAGDef, whose odd chunk counts give
+// uneven binary splits and whose jitter reaches every DAG leaf.
+const goldenTaskDAG = "run-task-dag"
+
+func goldenDAGDef() *scenario.Definition {
+	exposure := 0.5
+	return &scenario.Definition{
+		Name:          "golden-task-dag",
+		Decomposition: scenario.TaskDAG,
+		Iterations:    3,
+		Phases: []scenario.PhaseDef{
+			{Name: "sweep", Instructions: 4e11, MissPerInstr: 0.06, IPC: 2, RemoteFrac: 0.35,
+				Exposure: &exposure, ChunksPerCore: 7, JitterFrac: 0.1, MissJitter: 0.004},
+			{Name: "reduce", Instructions: 5e10, MissPerInstr: 0.01, IPC: 1.2, ChunksPerCore: 3, Repeat: 2},
+		},
+	}
+}
+
 // goldenBytes returns the bytes one golden line digests under opt: the
-// canonical report of an experiment, the JSON of a small UTS sweep, or —
+// canonical report of an experiment, the JSON of a small UTS sweep, the
+// run of an inline task-dag definition, or —
 // for a harness that fails at the golden configuration — its error text.
 func goldenBytes(name string, opt Options) []byte {
 	var b []byte
@@ -41,6 +64,12 @@ func goldenBytes(name string, opt Options) []byte {
 		var pts []SweepPoint
 		if pts, err = Sweep("UTS", opt, 4, 6); err == nil {
 			b, err = json.Marshal(pts)
+		}
+	} else if name == goldenTaskDAG {
+		opt.ScenarioDef = goldenDAGDef()
+		var rep *report.RunReport
+		if rep, err = BuildReport("run", "", opt); err == nil {
+			b, err = rep.Encode()
 		}
 	} else if rep, rerr := BuildReport(name, goldenBench, opt); rerr != nil {
 		err = rerr
@@ -54,7 +83,9 @@ func goldenBytes(name string, opt Options) []byte {
 }
 
 // goldenNames are the lines of testdata/reports.sha256, in file order.
-func goldenNames() []string { return append(Names[:len(Names):len(Names)], goldenSweep) }
+func goldenNames() []string {
+	return append(Names[:len(Names):len(Names)], goldenSweep, goldenTaskDAG)
+}
 
 // goldenDigests parses testdata/reports.sha256's "<sha256>  <name>" lines.
 func goldenDigests() map[string]string {

@@ -32,8 +32,9 @@ func machineRuns() map[string]int {
 		"ddcm":     4 * 3, // unthrottled, DVFS, DDCM
 		// At Scale 0.02 the oracle's daemon run resolves no slab, so it
 		// stops before its sweep; goldenSweep covers the grid points.
-		"oracle":    1,
-		goldenSweep: 3 * 4, // UTS at CF stride 4 × UF stride 6
+		"oracle":      1,
+		goldenSweep:   3 * 4, // UTS at CF stride 4 × UF stride 6
+		goldenTaskDAG: 1,
 	}
 }
 
