@@ -271,7 +271,10 @@ func NewWorkSharing(cores int, gen RegionGen, seed int64) Source {
 	return sched.NewWorkSharing(cores, gen, seed)
 }
 
-// Task is one async task in the async–finish model.
+// Task is one async task in the async–finish model: a value carrying its
+// segment, a node range [Lo, Hi) and an Expand function that every
+// interior node of a tree shares. Expand appends the task's children to
+// the scratch slice it is given and returns it.
 type Task = sched.Task
 
 // RoundGen yields the root task set of each finish scope.

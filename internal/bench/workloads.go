@@ -59,16 +59,14 @@ func utsSpec() Spec {
 				RemoteFrac:   remoteFrac,
 				Exposure:     1.0,
 			}
-			// All nodes share one Expand closure over the common budget —
-			// millions of tasks per run, so per-node closure allocations
-			// would dominate the scheduler's footprint.
-			var expand func(r *rand.Rand) []sched.Task
-			mkNode := func() sched.Task {
-				return sched.Task{Seg: nodeSeg, Expand: expand}
-			}
-			expand = func(r *rand.Rand) []sched.Task {
+			// Every node shares one Expand closure over the common budget
+			// and appends its children to the runtime's scratch slice —
+			// millions of tasks per run, so any per-node allocation would
+			// dominate the scheduler's footprint.
+			var expand func(sched.Task, *rand.Rand, []sched.Task) []sched.Task
+			expand = func(_ sched.Task, r *rand.Rand, kids []sched.Task) []sched.Task {
 				if budget <= 0 {
-					return nil
+					return kids
 				}
 				// Geometric-flavoured branching: 0–7 children with a long
 				// tail of leaves, the UTS imbalance source.
@@ -80,9 +78,8 @@ func utsSpec() Spec {
 					n = budget
 				}
 				budget -= n
-				kids := make([]sched.Task, n)
-				for i := range kids {
-					kids[i] = mkNode()
+				for range n {
+					kids = append(kids, sched.Task{Seg: nodeSeg, Expand: expand})
 				}
 				return kids
 			}
@@ -94,7 +91,7 @@ func utsSpec() Spec {
 			roots := make([]sched.Task, 10*p.Cores)
 			budget -= len(roots)
 			for i := range roots {
-				roots[i] = mkNode()
+				roots[i] = sched.Task{Seg: nodeSeg, Expand: expand}
 			}
 			return newTaskRuntime(p, sched.SingleRound(roots))
 		},
@@ -162,38 +159,36 @@ const stencilTiles = 4096
 // Chen et al. construction of Fig. 1: regular variants split the range
 // evenly (binary, degree-3 interior counting the parent edge), irregular
 // variants split it unevenly into three parts so subtree sizes — and hence
-// steal targets — vary wildly.
+// steal targets — vary wildly. Every interior node of the round shares one
+// expand function and carries its tile range in the task's node range.
 func stencilDAG(style Style, leaf workload.Segment, spawn workload.Segment, lo, hi int) sched.Task {
-	n := hi - lo
 	const leafTiles = 2
-	if n <= leafTiles {
-		seg := leaf
-		seg.Instructions *= float64(n)
-		return sched.Task{Seg: seg}
+	var expand func(sched.Task, *rand.Rand, []sched.Task) []sched.Task
+	node := func(lo, hi int) sched.Task {
+		n := hi - lo
+		if n <= leafTiles {
+			seg := leaf
+			seg.Instructions *= float64(n)
+			return sched.Task{Seg: seg}
+		}
+		return sched.Task{Seg: spawn, Lo: int32(lo), Hi: int32(hi), Expand: expand}
 	}
-	return sched.Task{
-		Seg: spawn,
-		Expand: func(r *rand.Rand) []sched.Task {
-			if style == RegularTasks {
-				mid := lo + n/2
-				return []sched.Task{
-					stencilDAG(style, leaf, spawn, lo, mid),
-					stencilDAG(style, leaf, spawn, mid, hi),
-				}
-			}
-			// Irregular: 1/6, 1/3, remainder — skewed ternary.
-			a := lo + max(1, n/6)
-			b := a + max(1, n/3)
-			if b >= hi {
-				b = hi - 1
-			}
-			return []sched.Task{
-				stencilDAG(style, leaf, spawn, lo, a),
-				stencilDAG(style, leaf, spawn, a, b),
-				stencilDAG(style, leaf, spawn, b, hi),
-			}
-		},
+	expand = func(t sched.Task, _ *rand.Rand, kids []sched.Task) []sched.Task {
+		lo, hi := int(t.Lo), int(t.Hi)
+		n := hi - lo
+		if style == RegularTasks {
+			mid := lo + n/2
+			return append(kids, node(lo, mid), node(mid, hi))
+		}
+		// Irregular: 1/6, 1/3, remainder — skewed ternary.
+		a := lo + max(1, n/6)
+		b := a + max(1, n/3)
+		if b >= hi {
+			b = hi - 1
+		}
+		return append(kids, node(lo, a), node(a, b), node(b, hi))
 	}
+	return node(lo, hi)
 }
 
 // stencilTaskSpec builds the irt/rt variants of a stencil benchmark.

@@ -190,7 +190,7 @@ func decodeContainer(raw []byte) (machineSnap, govBlob []byte, cp sched.WSCheckp
 // booted machine, and simulate only the suffix — storing new snapshots at
 // phase boundaries on the way. handled is false when the entry has no
 // deterministic region schedule (task-DAG decompositions, whose stealing
-// schedule depends on engine worker count), sending the caller to the
+// runtime has no boundary checkpoint), sending the caller to the
 // plain path. Any defect in a cached snapshot — truncation, checksum
 // failure, configuration mismatch — falls back to a fresh full run, whose
 // results are byte-identical to never having had a cache.

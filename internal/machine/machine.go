@@ -45,7 +45,7 @@ type coreState struct {
 }
 
 // quantumDelta is the per-core result of executing one quantum, merged into
-// machine state after all cores ran (keeping the parallel driver race-free).
+// machine state after all cores ran, in core order.
 type quantumDelta struct {
 	instr      float64
 	missLocal  float64

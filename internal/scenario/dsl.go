@@ -17,9 +17,10 @@ import (
 var ErrBadDefinition = errors.New("scenario: invalid definition")
 
 // Decomposition names of the DSL. Work-sharing compiles to the
-// OpenMP-style static-chunk runtime (bit-deterministic across engine
-// worker counts); task-dag compiles to the work-stealing runtime (its
-// schedule, like the bench task variants, is worker-count dependent).
+// OpenMP-style static-chunk runtime (its region schedule is a pure
+// function of the definition); task-dag compiles to the work-stealing
+// runtime (its schedule, like the bench task variants, follows the
+// runtime's random steals).
 const (
 	WorkSharing = "work-sharing"
 	TaskDAG     = "task-dag"
@@ -260,8 +261,8 @@ const jitterDomain = 0x5ce4a6d1c3b2f897
 // jitter returns a uniform value in [0, 1) derived from the
 // domain-tagged seed and two indices. Being a pure function (not a
 // sequential draw) keeps every perturbation stable no matter which core
-// or engine worker asks first, which is what lets work-sharing
-// scenarios reproduce bit-identically across engine worker counts.
+// asks first, so a work-sharing chunk's size never depends on the order
+// cores claim chunks in.
 func jitter(seed int64, a, b int) float64 {
 	return sched.IndexJitter(seed^jitterDomain, a, b)
 }
@@ -300,6 +301,13 @@ func (d Definition) Build(p Params) (workload.Source, error) {
 		return nil, fmt.Errorf("scenario: scale must be positive, got %g", p.Scale)
 	}
 	if n.Decomposition == TaskDAG {
+		// Task nodes carry their chunk range as int32.
+		for _, ph := range n.Phases {
+			if ph.ChunksPerCore > math.MaxInt32/p.Cores {
+				return nil, fmt.Errorf("%w: task-dag phases take at most %d chunks, got %d per core on %d cores",
+					ErrBadDefinition, math.MaxInt32, ph.ChunksPerCore, p.Cores)
+			}
+		}
 		return n.buildTaskDAG(p), nil
 	}
 	return n.buildWorkSharing(p), nil
@@ -328,8 +336,9 @@ func (d Definition) regionFor(p Params, globalStep int, st step) sched.Region {
 // paths size regions through the same regionFor.
 //
 // Only work-sharing definitions compile to a region schedule; the
-// work-stealing runtime's interleaving depends on engine worker count,
-// so task-DAG definitions have no worker-independent prefix to key on.
+// work-stealing runtime's state at a round boundary includes its steal
+// RNG and has no checkpoint, so task-DAG definitions have no prefix to
+// key on.
 func (d Definition) CompiledRegions(p Params) ([]sched.Region, []int, error) {
 	n := d.Normalized()
 	if err := n.Validate(); err != nil {
@@ -403,24 +412,24 @@ func (d Definition) buildTaskDAG(p Params) workload.Source {
 // region's chunks [lo, hi); leaf instruction counts take the region's
 // jitter through the same pure hash the work-sharing path uses, so the
 // DAG's work distribution depends only on (definition, seed), never on
-// expansion order.
+// expansion order. Every interior node of the round shares one expand
+// function and carries its chunk range in the task's node range.
 func dagOver(region sched.Region, spawn workload.Segment, seed int64, round, lo, hi int) sched.Task {
-	n := hi - lo
-	if n <= 1 {
-		seg := region.Seg
-		if j := region.JitterFrac; j > 0 {
-			seg.Instructions *= 1 + (jitter(seed, round, lo)*2-1)*j
-		}
-		return sched.Task{Seg: seg}
-	}
-	mid := lo + n/2
-	return sched.Task{
-		Seg: spawn,
-		Expand: func(*rand.Rand) []sched.Task {
-			return []sched.Task{
-				dagOver(region, spawn, seed, round, lo, mid),
-				dagOver(region, spawn, seed, round, mid, hi),
+	var expand func(sched.Task, *rand.Rand, []sched.Task) []sched.Task
+	node := func(lo, hi int) sched.Task {
+		if hi-lo <= 1 {
+			seg := region.Seg
+			if j := region.JitterFrac; j > 0 {
+				seg.Instructions *= 1 + (jitter(seed, round, lo)*2-1)*j
 			}
-		},
+			return sched.Task{Seg: seg}
+		}
+		return sched.Task{Seg: spawn, Lo: int32(lo), Hi: int32(hi), Expand: expand}
 	}
+	expand = func(t sched.Task, _ *rand.Rand, kids []sched.Task) []sched.Task {
+		lo, hi := int(t.Lo), int(t.Hi)
+		mid := lo + (hi-lo)/2
+		return append(kids, node(lo, mid), node(mid, hi))
+	}
+	return node(lo, hi)
 }

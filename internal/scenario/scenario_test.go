@@ -255,6 +255,13 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	if _, err := bad.Build(Params{Cores: 2, Scale: 1}); err == nil {
 		t.Error("invalid definition built")
 	}
+	// Task nodes carry chunk ranges as int32: a DAG phase wider than that
+	// is refused rather than built with wrapped ranges.
+	wide := burstyTasksDef()
+	wide.Phases[0].ChunksPerCore = 1 << 30
+	if _, err := wide.Build(Params{Cores: 4, Scale: 1}); err == nil || !strings.Contains(err.Error(), "task-dag") {
+		t.Errorf("task-dag phase of 2^32 chunks: err = %v", err)
+	}
 }
 
 // TestCorunMixPartitions drives the co-run built-in end to end: both

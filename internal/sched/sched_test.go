@@ -179,20 +179,22 @@ func TestDequeEmpty(t *testing.T) {
 	}
 }
 
-// binaryTree builds an Expand hook producing a binary tree of the given
-// depth; returns total node count.
+// binaryTree builds a binary tree of the given depth over the node range
+// [0, 2^depth): interior nodes share one expand that halves the range,
+// one-wide ranges are leaves. It returns the root and the node count.
 func binaryTree(depth int) (Task, int) {
-	var mk func(d int) Task
-	mk = func(d int) Task {
-		t := Task{Seg: seg(100)}
-		if d > 0 {
-			t.Expand = func(r *rand.Rand) []Task {
-				return []Task{mk(d - 1), mk(d - 1)}
-			}
+	var expand func(Task, *rand.Rand, []Task) []Task
+	node := func(lo, hi int32) Task {
+		if hi-lo <= 1 {
+			return Task{Seg: seg(100)}
 		}
-		return t
+		return Task{Seg: seg(100), Lo: lo, Hi: hi, Expand: expand}
 	}
-	return mk(depth), 1<<(depth+1) - 1
+	expand = func(t Task, _ *rand.Rand, kids []Task) []Task {
+		mid := t.Lo + (t.Hi-t.Lo)/2
+		return append(kids, node(t.Lo, mid), node(mid, t.Hi))
+	}
+	return node(0, 1<<depth), 1<<(depth+1) - 1
 }
 
 func TestWorkStealingExecutesWholeTree(t *testing.T) {
@@ -253,7 +255,9 @@ func TestWorkStealingStealOverheadCharged(t *testing.T) {
 	tasks := []Task{{Seg: seg(100)}, {Seg: seg(100)}}
 	// Both roots land on different deques (round-robin); force both onto
 	// deque 0 by using 1 root that expands into 2.
-	root := Task{Seg: seg(1), Expand: func(r *rand.Rand) []Task { return tasks }}
+	root := Task{Seg: seg(1), Expand: func(_ Task, _ *rand.Rand, kids []Task) []Task {
+		return append(kids, tasks...)
+	}}
 	ws := NewWorkStealing(2, SingleRound([]Task{root}), 3)
 	s0, ok := ws.NextSegment(0, 0)
 	if !ok || s0.Instructions != 1 {
@@ -325,5 +329,122 @@ func TestWorkStealingConservationQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// irregularTiles builds a Heat-irt-shaped round: the stencil benchmarks'
+// skewed ternary split (1/6, 1/3, remainder) of a tile range down to
+// two-tile leaves, every interior node sharing one expand.
+func irregularTiles(tiles int) Task {
+	var expand func(Task, *rand.Rand, []Task) []Task
+	node := func(lo, hi int) Task {
+		if hi-lo <= 2 {
+			return Task{Seg: seg(float64(1000 * (hi - lo)))}
+		}
+		return Task{Seg: seg(2000), Lo: int32(lo), Hi: int32(hi), Expand: expand}
+	}
+	expand = func(t Task, _ *rand.Rand, kids []Task) []Task {
+		lo, hi := int(t.Lo), int(t.Hi)
+		n := hi - lo
+		a := lo + max(1, n/6)
+		b := min(a+max(1, n/3), hi-1)
+		return append(kids, node(lo, a), node(a, b), node(b, hi))
+	}
+	return node(0, tiles)
+}
+
+// utsRounds is a UTS-style program: every round hangs 10 nodes per core
+// off the root, and each node expands into 0–7 children drawn from the
+// runtime's RNG until the round's node budget is spent.
+func utsRounds(cores, budget int) RoundGen {
+	left := 0
+	var expand func(Task, *rand.Rand, []Task) []Task
+	expand = func(_ Task, r *rand.Rand, kids []Task) []Task {
+		n := 0
+		if r.Float64() < 0.30 {
+			n = 1 + r.Intn(7)
+		}
+		n = min(n, left)
+		left -= n
+		for range n {
+			kids = append(kids, Task{Seg: seg(1000), Expand: expand})
+		}
+		return kids
+	}
+	roots := make([]Task, 10*cores)
+	for i := range roots {
+		roots[i] = Task{Seg: seg(1000), Expand: expand}
+	}
+	return func(int) ([]Task, bool) {
+		left = budget - len(roots)
+		return roots, true
+	}
+}
+
+// runRound steps every core — ask for a segment, complete it at once —
+// until the runtime releases its next round. It returns the tasks run.
+func runRound(ws *WorkStealing, cores int) int {
+	start, n := ws.round, 0
+	for ws.round == start {
+		for c := 0; c < cores; c++ {
+			if _, ok := ws.NextSegment(c, 0); ok {
+				ws.Complete(c, 0)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// expandPrograms are the two task shapes the zero-alloc guard and
+// BenchmarkWorkStealingExpand drive: a Heat-irt round and a UTS tree.
+func expandPrograms(cores int) map[string]RoundGen {
+	heat := []Task{irregularTiles(4096)}
+	return map[string]RoundGen{
+		"heat-irt": func(int) ([]Task, bool) { return heat, true },
+		"uts":      utsRounds(cores, 20000),
+	}
+}
+
+// TestWorkStealingExpandAllocatesNothing: once the deques and the
+// expansion scratch have grown to a round's high-water mark, dispatching,
+// expanding and completing tasks allocates nothing — the tree builders
+// share one expand per round and append into the runtime's reused slice.
+func TestWorkStealingExpandAllocatesNothing(t *testing.T) {
+	const cores = 20
+	for name, gen := range expandPrograms(cores) {
+		ws := NewWorkStealing(cores, gen, 1)
+		tasks := 0
+		for range 10 { // warm up to the deques' high-water mark
+			tasks = runRound(ws, cores)
+		}
+		if tasks < 1000 {
+			t.Fatalf("%s: a round ran only %d tasks", name, tasks)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { runRound(ws, cores) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per round of ~%d tasks, want 0", name, allocs, tasks)
+		}
+	}
+}
+
+// BenchmarkWorkStealingExpand is the sched-layer row: one op is one task
+// dispatched, expanded and completed on a warmed 20-core runtime.
+func BenchmarkWorkStealingExpand(b *testing.B) {
+	const cores = 20
+	for _, name := range []string{"heat-irt", "uts"} {
+		b.Run(name, func(b *testing.B) {
+			ws := NewWorkStealing(cores, expandPrograms(cores)[name], 1)
+			runRound(ws, cores)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				for c := 0; c < cores && i < b.N; c++ {
+					if _, ok := ws.NextSegment(c, 0); ok {
+						ws.Complete(c, 0)
+						i++
+					}
+				}
+			}
+		})
 	}
 }

@@ -12,7 +12,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/workload"
 )
@@ -51,11 +50,9 @@ func StaticProgram(regions []Region, iterations int) RegionGen {
 // effect at the next simulation timestamp: cores asking at the same `now`
 // the barrier opened are refused. That one-quantum release latency (a real
 // barrier's wake-up cost) is what makes the runtime independent of the
-// order cores step in within a quantum — the engine's sharded workers and
-// the serial driver observe identical state transitions, so results are
-// bit-identical across engine worker counts.
+// order cores step in within a quantum: a core stepped after the barrier
+// opened sees the same state as one stepped before it.
 type WorkSharing struct {
-	mu        sync.Mutex
 	cores     int
 	gen       RegionGen
 	seed      int64
@@ -85,21 +82,20 @@ type WorkSharing struct {
 // drives jitter only; a jitter-free program is fully deterministic, and a
 // jittered one is too — each chunk's jitter is a pure function of
 // (seed, region, chunk), never a sequential draw, so results are
-// independent of the order cores claim chunks in (the engine's sharded
-// workers call NextSegment concurrently).
+// independent of the order cores claim chunks in.
 func NewWorkSharing(cores int, gen RegionGen, seed int64) *WorkSharing {
 	if cores <= 0 {
 		panic(fmt.Sprintf("sched: invalid core count %d", cores))
 	}
 	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, openAt: -1}
-	ws.advanceLocked()
+	ws.advance()
 	return ws
 }
 
 // IndexJitter returns a uniform value in [0, 1) derived from a seed and
 // two indices — splitmix64 over the triple. Being a pure function (never
 // a sequential draw), every perturbation is stable no matter which core
-// or engine worker asks first; the work-sharing runtime uses it for
+// asks first; the work-sharing runtime uses it for
 // chunk jitter and the scenario DSL for its (domain-separated) phase
 // jitter, so there is exactly one implementation to keep deterministic.
 func IndexJitter(seed int64, a, b int) float64 {
@@ -119,12 +115,16 @@ func chunkJitter(seed int64, step, chunk int) float64 {
 	return IndexJitter(seed, step, chunk)
 }
 
-// advanceLocked loads the next region or marks the program done.
-func (w *WorkSharing) advanceLocked() {
+// advance loads the next region or marks the program done.
+func (w *WorkSharing) advance() {
 	w.cur, w.curOK = w.gen(w.step)
 	w.step++
 	w.completed = 0
-	w.claimed = make([]int, w.cores)
+	if w.claimed == nil {
+		w.claimed = make([]int, w.cores)
+	} else {
+		clear(w.claimed)
+	}
 	if !w.curOK {
 		w.done = true
 		return
@@ -140,8 +140,6 @@ func (w *WorkSharing) advanceLocked() {
 // region is exhausted wait at the barrier (ok == false) until every chunk
 // has completed.
 func (w *WorkSharing) NextSegment(core int, now float64) (workload.Segment, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done {
 		return workload.Segment{}, false
 	}
@@ -164,8 +162,6 @@ func (w *WorkSharing) NextSegment(core int, now float64) (workload.Segment, bool
 
 // Complete retires one chunk; the last chunk of a region opens the barrier.
 func (w *WorkSharing) Complete(core int, now float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done {
 		return
 	}
@@ -173,9 +169,8 @@ func (w *WorkSharing) Complete(core int, now float64) {
 	w.completed++
 	if w.completed == w.cur.Chunks {
 		w.regionsDone++
-		w.claimed = nil
 		w.openAt = now
-		w.advanceLocked()
+		w.advance()
 	}
 }
 
@@ -185,8 +180,6 @@ func (w *WorkSharing) Complete(core int, now float64) {
 // region-boundary machine snapshots land on identical floating-point
 // state whether or not a run was resumed.
 func (w *WorkSharing) BoundaryCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.regionsDone
 }
 
@@ -205,8 +198,6 @@ type WSCheckpoint struct {
 // when the runtime is mid-region (chunks claimed or in flight), where the
 // state is not reconstructible from a checkpoint.
 func (w *WorkSharing) Checkpoint() (WSCheckpoint, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.inFlight != 0 || w.completed != 0 {
 		return WSCheckpoint{}, false
 	}
@@ -223,7 +214,7 @@ func NewWorkSharingAt(cores int, gen RegionGen, seed int64, cp WSCheckpoint) *Wo
 		panic(fmt.Sprintf("sched: invalid core count %d", cores))
 	}
 	ws := &WorkSharing{cores: cores, gen: gen, seed: seed, step: cp.RegionsDone, openAt: cp.OpenAt}
-	ws.advanceLocked()
+	ws.advance()
 	ws.regionsDone = cp.RegionsDone
 	ws.regionsRun = cp.RegionsDone
 	if ws.curOK {
@@ -235,14 +226,10 @@ func NewWorkSharingAt(cores int, gen RegionGen, seed int64, cp WSCheckpoint) *Wo
 
 // Done reports whether every region has run to completion.
 func (w *WorkSharing) Done() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.done
 }
 
 // Stats returns regions and chunks executed so far.
 func (w *WorkSharing) Stats() (regions, chunks int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.regionsRun, w.chunksRun
 }

@@ -86,8 +86,10 @@ func (s Segment) Scale(k float64) Segment {
 // barriers (work-sharing) and to spawn child tasks (async–finish).
 //
 // Both methods receive the simulation time so runtimes can account for
-// scheduling overheads or time-based phase changes. Implementations must be
-// safe for concurrent calls when the machine runs its parallel driver.
+// scheduling overheads or time-based phase changes. The machine steps its
+// cores serially from one goroutine, so a source is never called
+// concurrently and needs no locking. A source is owned by the one machine
+// it is set on; sharing it between machines is not supported.
 type Source interface {
 	NextSegment(core int, now float64) (Segment, bool)
 	Complete(core int, now float64)
