@@ -274,7 +274,9 @@ func NewWorkSharing(cores int, gen RegionGen, seed int64) Source {
 // Task is one async task in the async–finish model: a value carrying its
 // segment, a node range [Lo, Hi) and an Expand function that every
 // interior node of a tree shares. Expand appends the task's children to
-// the scratch slice it is given and returns it.
+// the scratch slice it is given and returns it. N > 1 makes the value a
+// run of N identical siblings held in one deque slot; each copy is still
+// dispatched, counted and expanded on its own. The zero N means one task.
 type Task = sched.Task
 
 // RoundGen yields the root task set of each finish scope.

@@ -62,7 +62,10 @@ func utsSpec() Spec {
 			// Every node shares one Expand closure over the common budget
 			// and appends its children to the runtime's scratch slice —
 			// millions of tasks per run, so any per-node allocation would
-			// dominate the scheduler's footprint.
+			// dominate the scheduler's footprint. The children of one node
+			// are identical, so they go out as one run (N = n) that takes a
+			// single deque slot; at paper length hundreds of thousands of
+			// nodes are pending when the budget runs out.
 			var expand func(sched.Task, *rand.Rand, []sched.Task) []sched.Task
 			expand = func(_ sched.Task, r *rand.Rand, kids []sched.Task) []sched.Task {
 				if budget <= 0 {
@@ -78,10 +81,10 @@ func utsSpec() Spec {
 					n = budget
 				}
 				budget -= n
-				for range n {
-					kids = append(kids, sched.Task{Seg: nodeSeg, Expand: expand})
+				if n == 0 {
+					return kids
 				}
-				return kids
+				return append(kids, sched.Task{Seg: nodeSeg, N: int32(n), Expand: expand})
 			}
 			// UTS trees hang off a root with a large fixed branching factor
 			// (b0); the interior branching process alone is near-critical

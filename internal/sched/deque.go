@@ -6,16 +6,24 @@ package sched
 // oldest and typically largest subtree). The machine's one driver goroutine
 // is its only caller, so the structure carries the semantics rather than
 // the lock-freedom of the original.
+//
+// A slot may hold a run: a Task with N > 1 stands for N identical
+// siblings. Both ends peel one copy off a run, so the deque hands out the
+// same task values in the same order as N separate slots would. The peel
+// is written out in popBottom and stealTop rather than shared through a
+// helper, which would push both past the compiler's inlining budget on
+// the scheduler's hottest path.
 type deque struct {
 	buf    []Task
 	top    int // next steal position
 	bottom int // next push position
 }
 
-// size returns the number of queued tasks.
+// size returns the number of occupied slots. A run counts once, which is
+// all emptiness and growth need.
 func (d *deque) size() int { return d.bottom - d.top }
 
-// pushBottom adds a task at the owner's end.
+// pushBottom adds a task (or a run of them) at the owner's end.
 func (d *deque) pushBottom(t Task) {
 	if d.bottom == len(d.buf) {
 		d.grow()
@@ -24,25 +32,39 @@ func (d *deque) pushBottom(t Task) {
 	d.bottom++
 }
 
-// popBottom removes the most recently pushed task (owner's end).
+// popBottom removes the most recently pushed task (owner's end). A run
+// gives up one copy and keeps its slot until its last copy leaves.
 func (d *deque) popBottom() (Task, bool) {
 	if d.size() == 0 {
 		return Task{}, false
 	}
-	d.bottom--
-	t := d.buf[d.bottom]
-	d.buf[d.bottom] = Task{} // release references
+	s := &d.buf[d.bottom-1]
+	t := *s
+	if t.N > 1 {
+		s.N--
+		t.N = 1
+	} else {
+		d.bottom--
+		*s = Task{} // release references
+	}
 	return t, true
 }
 
-// stealTop removes the oldest task (thief's end).
+// stealTop removes the oldest task (thief's end), peeling runs the same
+// way.
 func (d *deque) stealTop() (Task, bool) {
 	if d.size() == 0 {
 		return Task{}, false
 	}
-	t := d.buf[d.top]
-	d.buf[d.top] = Task{}
-	d.top++
+	s := &d.buf[d.top]
+	t := *s
+	if t.N > 1 {
+		s.N--
+		t.N = 1
+	} else {
+		d.top++
+		*s = Task{}
+	}
 	return t, true
 }
 

@@ -18,12 +18,23 @@ import (
 // the task by value and appends its children to kids, a scratch slice the
 // runtime owns and reuses, returning the extended slice. The runtime
 // copies the children onto a deque before the next expansion reuses kids.
-// Lo and Hi are int32 so a Task stays 56 bytes.
+//
+// N is how many identical siblings the value stands for; 0 and 1 both mean
+// one task. A builder whose children are equal (UTS's nodes carry no
+// range) appends one Task with N = n instead of n copies, and the deque
+// keeps it in one slot. The runtime counts, dispatches and expands each
+// copy separately: Expand and the executing core always see a single task,
+// so a run is indistinguishable from N pushes of the same value. With the
+// int32 fields a Task is 64 bytes.
 type Task struct {
 	Seg    workload.Segment
 	Lo, Hi int32
+	N      int32
 	Expand func(t Task, r *rand.Rand, kids []Task) []Task
 }
+
+// count returns how many tasks t stands for.
+func (t Task) count() int { return max(1, int(t.N)) }
 
 // RoundGen supplies the root task set of each finish scope ("round"), or
 // ok == false when the program ends. Iterative benchmarks (Heat, SOR) have
@@ -113,11 +124,13 @@ func (w *WorkStealing) startRound() {
 		w.startRound()
 		return
 	}
+	n := 0
 	for i, t := range roots {
 		w.deques[i%w.cores].pushBottom(t)
+		n += t.count()
 	}
-	w.queued += len(roots)
-	w.pending = len(roots)
+	w.queued += n
+	w.pending = n
 }
 
 // NextSegment pops local work or steals. It returns ok == false when the
@@ -181,11 +194,13 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	w.running[core] = false
 	if t.Expand != nil {
 		w.kids = t.Expand(t, w.rng, w.kids[:0])
+		n := 0
 		for _, c := range w.kids {
 			w.deques[core].pushBottom(c)
+			n += c.count()
 		}
-		w.queued += len(w.kids)
-		w.pending += len(w.kids)
+		w.queued += n
+		w.pending += n
 	}
 	w.pending--
 	if w.pending == 0 {
