@@ -277,6 +277,9 @@ func NewWorkSharing(cores int, gen RegionGen, seed int64) Source {
 // the scratch slice it is given and returns it. N > 1 makes the value a
 // run of N identical siblings held in one deque slot; each copy is still
 // dispatched, counted and expanded on its own. The zero N means one task.
+// A nonzero Key declares tasks with equal keys interchangeable, so a
+// worker's deque merges them into one run across expansions; the zero
+// Key never merges.
 type Task = sched.Task
 
 // RoundGen yields the root task set of each finish scope.

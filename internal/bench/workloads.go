@@ -62,10 +62,11 @@ func utsSpec() Spec {
 			// Every node shares one Expand closure over the common budget
 			// and appends its children to the runtime's scratch slice —
 			// millions of tasks per run, so any per-node allocation would
-			// dominate the scheduler's footprint. The children of one node
-			// are identical, so they go out as one run (N = n) that takes a
-			// single deque slot; at paper length hundreds of thousands of
-			// nodes are pending when the budget runs out.
+			// dominate the scheduler's footprint. Every node is the same
+			// value, so one node's children go out as one run (N = n) and
+			// Key 1 lets the deque fold that run into the bottom slot: at
+			// paper length hundreds of thousands of nodes are pending when
+			// the budget runs out, and each worker holds them in one slot.
 			var expand func(sched.Task, *rand.Rand, []sched.Task) []sched.Task
 			expand = func(_ sched.Task, r *rand.Rand, kids []sched.Task) []sched.Task {
 				if budget <= 0 {
@@ -84,7 +85,7 @@ func utsSpec() Spec {
 				if n == 0 {
 					return kids
 				}
-				return append(kids, sched.Task{Seg: nodeSeg, N: int32(n), Expand: expand})
+				return append(kids, sched.Task{Seg: nodeSeg, N: int32(n), Key: 1, Expand: expand})
 			}
 			// UTS trees hang off a root with a large fixed branching factor
 			// (b0); the interior branching process alone is near-critical
@@ -94,7 +95,7 @@ func utsSpec() Spec {
 			roots := make([]sched.Task, 10*p.Cores)
 			budget -= len(roots)
 			for i := range roots {
-				roots[i] = sched.Task{Seg: nodeSeg, Expand: expand}
+				roots[i] = sched.Task{Seg: nodeSeg, Key: 1, Expand: expand}
 			}
 			return newTaskRuntime(p, sched.SingleRound(roots))
 		},

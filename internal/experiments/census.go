@@ -25,10 +25,21 @@ type TinvSample struct {
 	UF   freq.Ratio
 }
 
+// maxSamplePresize caps the samples sampleRun allocates up front (2 MiB):
+// scale has no upper bound, so past the cap the slice grows as samples
+// arrive instead of being sized before the run starts.
+const maxSamplePresize = 1 << 16
+
 // sampleRun executes a benchmark under the given governor with the
 // driver's census observer recording TIPI and JPI every Tinv.
 func sampleRun(spec bench.Spec, opt Options, g governor.Governor) ([]TinvSample, float64, error) {
-	var samples []TinvSample
+	// Room for the nominal run plus an eighth: Default runs end within 4%
+	// of PaperSeconds, so under Default the slice never regrows.
+	n := 0
+	if est := spec.PaperSeconds * opt.Scale / opt.TinvSec * 9 / 8; est > 0 {
+		n = int(min(est, maxSamplePresize))
+	}
+	samples := make([]TinvSample, 0, n)
 	res, err := simulate(opt, runPlan{
 		name:    spec.Name,
 		gov:     g,

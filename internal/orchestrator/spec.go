@@ -26,12 +26,20 @@ import (
 // ErrBadSweep tags sweep-spec validation failures.
 var ErrBadSweep = errors.New("orchestrator: invalid sweep spec")
 
+// Size caps, checked before anything is allocated: a spec is a few
+// hundred bytes, but {"n": 1e9} or a cross product of long axes would
+// otherwise ask for gigabytes (and the product can overflow int).
+const (
+	maxAxisDraws  = 4096  // values one distribution axis may draw
+	maxSweepCells = 65536 // grid cells one sweep may expand to
+)
+
 // DistSpec is a seeded bounded-support sampler for a randomized axis:
 // instead of listing values by hand, an axis draws n of them from a
 // Kumaraswamy(a, b) distribution rescaled onto [min, max]. The draw is
 // inverse-CDF from a seeded generator, so the expanded values — and
 // therefore every generated RunSpec's content hash — are a pure
-// function of this spec.
+// function of this spec. N may be at most 4096.
 type DistSpec struct {
 	Dist string  `json:"dist"` // "kumaraswamy"
 	A    float64 `json:"a"`
@@ -81,6 +89,9 @@ func (a Axis) MarshalJSON() ([]byte, error) {
 func (a Axis) expand() ([]float64, error) {
 	if a.Dist == nil {
 		return a.Values, nil
+	}
+	if a.Dist.N > maxAxisDraws {
+		return nil, fmt.Errorf("%w: %d draws exceed the cap of %d", ErrBadSweep, a.Dist.N, maxAxisDraws)
 	}
 	switch a.Dist.Dist {
 	case "kumaraswamy":
@@ -184,7 +195,8 @@ func (s SweepSpec) workloadAxis(experiment string) ([]workloadSel, error) {
 // return counts grid cells dropped because they hashed identically to
 // an earlier cell (e.g. a sampled axis drawing duplicate values after
 // integer rounding) — callers surface it so a sweep never silently
-// reports fewer cells than its cross-product.
+// reports fewer cells than its cross-product. A cross product over 65536
+// cells is rejected before any spec is built.
 func (s SweepSpec) Expand() ([]service.RunSpec, int, error) {
 	experiment := s.Experiment
 	if experiment == "" {
@@ -223,7 +235,11 @@ func (s SweepSpec) Expand() ([]service.RunSpec, int, error) {
 		lens = append(lens, n)
 	}
 
-	specs := make([]service.RunSpec, 0, grid.Size(lens))
+	cells, err := sweepCells(lens)
+	if err != nil {
+		return nil, 0, err
+	}
+	specs := make([]service.RunSpec, 0, cells)
 	seen := make(map[string]bool)
 	dropped := 0
 	var expandErr error
@@ -263,6 +279,19 @@ func (s SweepSpec) Expand() ([]service.RunSpec, int, error) {
 		return nil, 0, fmt.Errorf("%w: the axes expand to zero runs", ErrBadSweep)
 	}
 	return specs, dropped, nil
+}
+
+// sweepCells is the cross product of the axis lengths (each at least
+// one), rejected once it passes maxSweepCells — before it can overflow.
+func sweepCells(lens []int) (int, error) {
+	cells := 1
+	for _, n := range lens {
+		if n > maxSweepCells/cells {
+			return 0, fmt.Errorf("%w: the axes expand past the cap of %d cells", ErrBadSweep, maxSweepCells)
+		}
+		cells *= n
+	}
+	return cells, nil
 }
 
 func roundInt(v float64) int { return int(math.Round(v)) }

@@ -1,6 +1,8 @@
 package orchestrator
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,6 +176,49 @@ func TestExpandErrors(t *testing.T) {
 				t.Errorf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestExpandRejectsOversizedSweeps checks the size caps fire before any
+// allocation. The specs sit far over the caps, at sizes where a missing
+// check fails at once (make panics on a length out of range) instead of
+// allocating, and at just over, where a missing check stays cheap.
+func TestExpandRejectsOversizedSweeps(t *testing.T) {
+	draws := func(n int) Axis {
+		return Axis{Dist: &DistSpec{Dist: "kumaraswamy", A: 2, B: 2, N: n, Min: 1, Max: 8}}
+	}
+	wide := draws(maxAxisDraws)
+	cases := []struct {
+		name string
+		axes Axes
+	}{
+		{"draws far over", Axes{Benchmarks: []string{"UTS"}, Scales: draws(math.MaxInt)}},
+		{"draws just over", Axes{Benchmarks: []string{"UTS"}, Scales: draws(maxAxisDraws + 1)}},
+		{"cells far over", Axes{Benchmarks: []string{"UTS"}, TinvSec: wide, Cores: wide, Reps: wide, Seeds: wide}},
+		{"cells just over", Axes{Benchmarks: make([]string, maxSweepCells/maxAxisDraws+1), Seeds: wide}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := SweepSpec{Axes: tc.axes}.Expand()
+			if !errors.Is(err, ErrBadSweep) || !strings.Contains(err.Error(), "cap") {
+				t.Errorf("err = %v, want an ErrBadSweep naming the cap", err)
+			}
+		})
+	}
+}
+
+func TestSweepCells(t *testing.T) {
+	if n, err := sweepCells([]int{2, 1, 4096, 8}); err != nil || n != maxSweepCells {
+		t.Errorf("exactly at the cap: %d, %v; want %d, nil", n, err, maxSweepCells)
+	}
+	for _, lens := range [][]int{
+		{2, 1, 4096, 8, 1, 2},
+		{4096, 4096, 4096, 4096, 4096, 16}, // 2^64 wraps to 0 in int
+		{math.MaxInt, math.MaxInt},
+	} {
+		if n, err := sweepCells(lens); !errors.Is(err, ErrBadSweep) {
+			t.Errorf("%v: %d, %v; want ErrBadSweep", lens, n, err)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package sched
 
+import "math"
+
 // deque is a grow-able double-ended work queue in the Chase–Lev layout:
 // the owning worker pushes and pops at the bottom (LIFO, cache-friendly
 // depth-first execution), thieves steal from the top (FIFO, stealing the
@@ -9,10 +11,14 @@ package sched
 //
 // A slot may hold a run: a Task with N > 1 stands for N identical
 // siblings. Both ends peel one copy off a run, so the deque hands out the
-// same task values in the same order as N separate slots would. The peel
-// is written out in popBottom and stealTop rather than shared through a
-// helper, which would push both past the compiler's inlining budget on
-// the scheduler's hottest path.
+// same task values in the same order as N separate slots would. The owner
+// pushes with fold first and pushBottom only when fold declines, so a task
+// whose nonzero Key equals the bottom slot's grows that run instead of
+// taking a slot: a frontier of interchangeable tasks (UTS) sits in one
+// slot however many expansions produced it. The peel is written out in
+// popBottom and stealTop, and fold is kept apart from pushBottom, because
+// a shared helper or a merged push would go past the compiler's inlining
+// budget on the scheduler's hottest path.
 type deque struct {
 	buf    []Task
 	top    int // next steal position
@@ -23,13 +29,29 @@ type deque struct {
 // all emptiness and growth need.
 func (d *deque) size() int { return d.bottom - d.top }
 
-// pushBottom adds a task (or a run of them) at the owner's end.
+// pushBottom adds a task (or a run of them) at the owner's end, in a slot
+// of its own.
 func (d *deque) pushBottom(t Task) {
 	if d.bottom == len(d.buf) {
 		d.grow()
 	}
 	d.buf[d.bottom] = t
 	d.bottom++
+}
+
+// fold merges a keyed task into the bottom slot when that slot carries the
+// same key and the sum still fits N, and reports whether it did.
+func (d *deque) fold(t Task) bool {
+	if t.Key == 0 || d.bottom == d.top {
+		return false
+	}
+	s := &d.buf[d.bottom-1]
+	n := s.count() + t.count()
+	if s.Key != t.Key || n > math.MaxInt32 {
+		return false
+	}
+	s.N = int32(n)
+	return true
 }
 
 // popBottom removes the most recently pushed task (owner's end). A run

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -218,24 +219,37 @@ func TestDequeRunSlotPeelsBothEnds(t *testing.T) {
 	}
 }
 
-// TestDequeRunsMatchExpandedModel checks growth and compaction against a
-// model that stores every copy of a run as its own element: a seeded mix
-// of run pushes, pops and steals must return the same tasks in the same
-// order.
+// TestDequeRunsMatchExpandedModel checks growth, compaction and keyed
+// folding against a model that stores every copy of a run as its own
+// element: a seeded mix of run pushes, pops and steals must return the
+// same tasks in the same order. Unkeyed pushes carry distinct values;
+// keyed ones carry key 1 or 2 and a value fixed by the key, as the
+// interchangeability promise requires.
 func TestDequeRunsMatchExpandedModel(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var d deque
 	var model []float64
 	next := 0.0
+	folds := 0
 	for op := 0; op < 20000; op++ {
 		switch x := r.Intn(10); {
 		case x < 5:
 			n := int32(r.Intn(5)) // 0 and 1 both mean one task
-			d.pushBottom(Task{Seg: seg(next), N: n})
-			for range max(1, n) {
-				model = append(model, next)
+			task := Task{Seg: seg(next), N: n}
+			if r.Intn(2) == 0 {
+				task.Key = uint32(1 + r.Intn(2))
+				task.Seg = seg(-float64(task.Key))
+			} else {
+				next++
 			}
-			next++
+			if d.fold(task) {
+				folds++
+			} else {
+				d.pushBottom(task)
+			}
+			for range max(1, n) {
+				model = append(model, task.Seg.Instructions)
+			}
 		case x < 7:
 			task, ok := d.popBottom()
 			if ok != (len(model) > 0) {
@@ -262,9 +276,51 @@ func TestDequeRunsMatchExpandedModel(t *testing.T) {
 		if (d.size() == 0) != (len(model) == 0) {
 			t.Fatalf("op %d: %d slots but %d modelled tasks", op, d.size(), len(model))
 		}
+		// Slots change only at the ends and a push folds into an equal
+		// key, so no two neighbouring slots can share a nonzero key.
+		for i := d.top + 1; i < d.bottom; i++ {
+			if k := d.buf[i].Key; k != 0 && k == d.buf[i-1].Key {
+				t.Fatalf("op %d: slots %d and %d both hold key %d unmerged", op, i-1, i, k)
+			}
+		}
 	}
 	if len(d.buf) < 64 {
 		t.Fatalf("deque never grew (cap %d); the test does not reach growth", len(d.buf))
+	}
+	if folds < 1000 {
+		t.Fatalf("only %d keyed pushes folded; the test does not exercise merging", folds)
+	}
+}
+
+// push adds t the way the runtime does: folded into the bottom slot when
+// fold accepts it, in a slot of its own otherwise.
+func push(d *deque, t Task) {
+	if !d.fold(t) {
+		d.pushBottom(t)
+	}
+}
+
+// TestDequeFoldStopsAtInt32 pins the overflow guard: a fold that would
+// push N past math.MaxInt32 takes a new slot instead, so no copy is
+// lost to a wrapped count.
+func TestDequeFoldStopsAtInt32(t *testing.T) {
+	var d deque
+	push(&d, Task{Key: 1, N: math.MaxInt32 - 1})
+	push(&d, Task{Key: 1}) // fills the slot exactly
+	if d.size() != 1 || d.buf[d.top].N != math.MaxInt32 {
+		t.Fatalf("%d slots, N=%d; want 1 slot at MaxInt32", d.size(), d.buf[d.top].N)
+	}
+	push(&d, Task{Key: 1, N: 2}) // would overflow: new slot
+	if d.size() != 2 || d.buf[d.top].N != math.MaxInt32 || d.buf[d.bottom-1].N != 2 {
+		t.Fatalf("%d slots, N=%d and %d; want MaxInt32 and 2 in two slots", d.size(), d.buf[d.top].N, d.buf[d.bottom-1].N)
+	}
+	// The full slot stays a run: a steal peels one copy off it.
+	if task, ok := d.stealTop(); !ok || task.N > 1 || d.buf[d.top].N != math.MaxInt32-1 {
+		t.Fatalf("steal from the full slot: N=%d ok=%v, left %d", task.N, ok, d.buf[d.top].N)
+	}
+	push(&d, Task{Key: 1, N: math.MaxInt32 - 2}) // 2 + (MaxInt32-2) fits
+	if d.size() != 2 || d.buf[d.bottom-1].N != math.MaxInt32 {
+		t.Fatalf("%d slots, bottom N=%d; want 2 slots, bottom at MaxInt32", d.size(), d.buf[d.bottom-1].N)
 	}
 }
 
@@ -464,13 +520,25 @@ func irregularTiles(tiles int) Task {
 	return node(0, tiles)
 }
 
+// utsForm is how utsRounds emits a node's n identical children.
+type utsForm int
+
+const (
+	utsCopies utsForm = iota // n separate tasks
+	utsRuns                  // one run, N = n
+	utsKeyed                 // one run with Key 1, as the UTS benchmark emits them
+)
+
 // utsRounds is a UTS-style program: every round hangs 10 nodes per core
 // off the root, and each node expands into 0–7 children drawn from the
-// runtime's RNG until the round's node budget is spent. The children of a
-// node are identical; with runs set they go out as one run (N = n), as the
-// UTS benchmark emits them, otherwise as n separate copies.
-func utsRounds(cores, budget int, runs bool) RoundGen {
+// runtime's RNG until the round's node budget is spent. Every node is the
+// same value; form picks how a node's children go out.
+func utsRounds(cores, budget int, form utsForm) RoundGen {
 	left := 0
+	node := Task{Seg: seg(1000)}
+	if form == utsKeyed {
+		node.Key = 1
+	}
 	var expand func(Task, *rand.Rand, []Task) []Task
 	expand = func(_ Task, r *rand.Rand, kids []Task) []Task {
 		n := 0
@@ -481,18 +549,21 @@ func utsRounds(cores, budget int, runs bool) RoundGen {
 		left -= n
 		switch {
 		case n == 0:
-		case runs:
-			kids = append(kids, Task{Seg: seg(1000), N: int32(n), Expand: expand})
-		default:
+		case form == utsCopies:
 			for range n {
-				kids = append(kids, Task{Seg: seg(1000), Expand: expand})
+				kids = append(kids, node)
 			}
+		default:
+			run := node
+			run.N = int32(n)
+			kids = append(kids, run)
 		}
 		return kids
 	}
+	node.Expand = expand
 	roots := make([]Task, 10*cores)
 	for i := range roots {
-		roots[i] = Task{Seg: seg(1000), Expand: expand}
+		roots[i] = node
 	}
 	return func(int) ([]Task, bool) {
 		left = budget - len(roots)
@@ -501,34 +572,39 @@ func utsRounds(cores, budget int, runs bool) RoundGen {
 }
 
 // TestRunSlotsMatchExpandedCopies is the run-length equivalence property:
-// a UTS-style program that emits runs and the same program emitting n
-// separate copies, driven through one seeded schedule of NextSegment and
-// Complete calls on 20 cores, return the same segments (steal overhead
-// included) and end with the same counters and round count. Each step
-// leaves some cores idle and some tasks running, so thieves find
-// partly peeled runs at the top of their victims' deques.
+// a UTS-style program that emits runs, the same program with keyed runs
+// that the deques merge across expansions, and the same program emitting
+// n separate copies, driven through one seeded schedule of NextSegment
+// and Complete calls on 20 cores, return the same segments (steal
+// overhead included) and end with the same counters and round count.
+// Each step leaves some cores idle and some tasks running, so thieves
+// find partly peeled runs, and on the keyed side merged ones, at the top
+// of their victims' deques.
 //
 // The run-length side must also keep at most 2/5 of the expanded side's
 // peak deque slots. Runs average four copies, but a depth-first deque is
 // a stack of runs each already peeled by the descent below it, so the
 // measured ratio is 0.36–0.38 here (0.36 for one deque in pure depth-first
-// order), not a quarter.
+// order), not a quarter. The keyed side never holds more than one slot
+// per deque.
 func TestRunSlotsMatchExpandedCopies(t *testing.T) {
 	const cores = 20
-	slots := func(ws *WorkStealing) int {
-		n := 0
+	slots := func(ws *WorkStealing) (total, most int) {
 		for i := range ws.deques {
-			n += ws.deques[i].size()
+			n := ws.deques[i].size()
+			total += n
+			most = max(most, n)
 		}
-		return n
+		return total, most
 	}
 	prop := func(seed int64) bool {
-		runs := NewWorkStealing(cores, utsRounds(cores, 20000, true), seed)
-		flat := NewWorkStealing(cores, utsRounds(cores, 20000, false), seed)
+		flat := NewWorkStealing(cores, utsRounds(cores, 20000, utsCopies), seed)
+		runs := NewWorkStealing(cores, utsRounds(cores, 20000, utsRuns), seed)
+		keyed := NewWorkStealing(cores, utsRounds(cores, 20000, utsKeyed), seed)
 		plan := rand.New(rand.NewSource(seed))
 		busy := make([]bool, cores)
-		peakRuns, peakFlat := 0, 0
-		for step := 0; runs.round < 4; step++ {
+		peakRuns, peakFlat, peakKeyed := 0, 0, 0
+		for step := 0; flat.round < 4; step++ {
 			if step > 200000 {
 				t.Errorf("seed %d: schedule did not finish three rounds", seed)
 				return false
@@ -536,8 +612,9 @@ func TestRunSlotsMatchExpandedCopies(t *testing.T) {
 			for c := 0; c < cores; c++ {
 				if busy[c] {
 					if plan.Intn(3) == 0 {
-						runs.Complete(c, 0)
 						flat.Complete(c, 0)
+						runs.Complete(c, 0)
+						keyed.Complete(c, 0)
 						busy[c] = false
 					}
 					continue
@@ -545,22 +622,29 @@ func TestRunSlotsMatchExpandedCopies(t *testing.T) {
 				if plan.Intn(4) == 0 {
 					continue // idle this step
 				}
-				a, okA := runs.NextSegment(c, 0)
-				b, okB := flat.NextSegment(c, 0)
-				if okA != okB || a != b {
-					t.Errorf("seed %d step %d core %d: runs gave %v %v, copies gave %v %v", seed, step, c, a, okA, b, okB)
+				a, okA := flat.NextSegment(c, 0)
+				b, okB := runs.NextSegment(c, 0)
+				k, okK := keyed.NextSegment(c, 0)
+				if okA != okB || a != b || okA != okK || a != k {
+					t.Errorf("seed %d step %d core %d: copies gave %v %v, runs %v %v, keyed %v %v", seed, step, c, a, okA, b, okB, k, okK)
 					return false
 				}
 				busy[c] = okA
 			}
-			peakRuns = max(peakRuns, slots(runs))
-			peakFlat = max(peakFlat, slots(flat))
+			n, _ := slots(runs)
+			peakRuns = max(peakRuns, n)
+			n, _ = slots(flat)
+			peakFlat = max(peakFlat, n)
+			_, n = slots(keyed)
+			peakKeyed = max(peakKeyed, n)
 		}
-		ta, sa, fa := runs.Stats()
-		tb, sb, fb := flat.Stats()
-		if ta != tb || sa != sb || fa != fb || runs.round != flat.round {
-			t.Errorf("seed %d: stats %d/%d/%d round %d vs %d/%d/%d round %d", seed, ta, sa, fa, runs.round, tb, sb, fb, flat.round)
-			return false
+		ta, sa, fa := flat.Stats()
+		for _, ws := range []*WorkStealing{runs, keyed} {
+			tb, sb, fb := ws.Stats()
+			if ta != tb || sa != sb || fa != fb || ws.round != flat.round {
+				t.Errorf("seed %d: stats %d/%d/%d round %d vs copies %d/%d/%d round %d", seed, tb, sb, fb, ws.round, ta, sa, fa, flat.round)
+				return false
+			}
 		}
 		if sa == 0 {
 			t.Errorf("seed %d: no steals; the schedule does not exercise stealing", seed)
@@ -570,10 +654,43 @@ func TestRunSlotsMatchExpandedCopies(t *testing.T) {
 			t.Errorf("seed %d: peak slots %d with runs vs %d with copies, want at most 2/5", seed, peakRuns, peakFlat)
 			return false
 		}
+		if peakKeyed != 1 {
+			t.Errorf("seed %d: a keyed deque held %d slots at once, want 1", seed, peakKeyed)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKeyedUTSHoldsOneSlotPerDeque runs a whole keyed UTS round of 200 k
+// nodes on 20 cores: every deque holds at most one slot throughout, so
+// no buffer grows past its initial 16 slots, however deep the frontier.
+func TestKeyedUTSHoldsOneSlotPerDeque(t *testing.T) {
+	const cores = 20
+	ws := NewWorkStealing(cores, utsRounds(cores, 200000, utsKeyed), 1)
+	tasks, peakQueued := 0, 0
+	for ws.round == 1 {
+		for c := 0; c < cores; c++ {
+			if _, ok := ws.NextSegment(c, 0); ok {
+				ws.Complete(c, 0)
+				tasks++
+			}
+			if n := ws.deques[c].size(); n > 1 {
+				t.Fatalf("after %d tasks deque %d holds %d slots, want at most 1", tasks, c, n)
+			}
+		}
+		peakQueued = max(peakQueued, ws.queued)
+	}
+	for c := range ws.deques {
+		if n := len(ws.deques[c].buf); n > 16 {
+			t.Errorf("deque %d grew to %d slots, want the initial 16", c, n)
+		}
+	}
+	if tasks < 100000 || peakQueued < 1000 {
+		t.Fatalf("round ran %d tasks with at most %d queued; the tree is too small to test", tasks, peakQueued)
 	}
 }
 
@@ -598,7 +715,7 @@ func expandPrograms(cores int) map[string]RoundGen {
 	heat := []Task{irregularTiles(4096)}
 	return map[string]RoundGen{
 		"heat-irt": func(int) ([]Task, bool) { return heat, true },
-		"uts":      utsRounds(cores, 20000, true),
+		"uts":      utsRounds(cores, 20000, utsKeyed),
 	}
 }
 

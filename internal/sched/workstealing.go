@@ -24,12 +24,19 @@ import (
 // range) appends one Task with N = n instead of n copies, and the deque
 // keeps it in one slot. The runtime counts, dispatches and expands each
 // copy separately: Expand and the executing core always see a single task,
-// so a run is indistinguishable from N pushes of the same value. With the
-// int32 fields a Task is 64 bytes.
+// so a run is indistinguishable from N pushes of the same value.
+//
+// Key extends that across expansions: a nonzero Key promises that tasks
+// with equal keys are interchangeable, so the deque folds a keyed push
+// into a bottom slot of the same key instead of taking a new slot, and a
+// worker's whole UTS frontier sits in one run. Zero means never merge,
+// which tasks told apart by their range (stencils, DSL DAGs) keep. With
+// the int32 fields and the key in their padding a Task is 64 bytes.
 type Task struct {
 	Seg    workload.Segment
 	Lo, Hi int32
 	N      int32
+	Key    uint32
 	Expand func(t Task, r *rand.Rand, kids []Task) []Task
 }
 
@@ -126,7 +133,9 @@ func (w *WorkStealing) startRound() {
 	}
 	n := 0
 	for i, t := range roots {
-		w.deques[i%w.cores].pushBottom(t)
+		if d := &w.deques[i%w.cores]; !d.fold(t) {
+			d.pushBottom(t)
+		}
 		n += t.count()
 	}
 	w.queued += n
@@ -195,8 +204,11 @@ func (w *WorkStealing) Complete(core int, now float64) {
 	if t.Expand != nil {
 		w.kids = t.Expand(t, w.rng, w.kids[:0])
 		n := 0
+		d := &w.deques[core]
 		for _, c := range w.kids {
-			w.deques[core].pushBottom(c)
+			if !d.fold(c) {
+				d.pushBottom(c)
+			}
 			n += c.count()
 		}
 		w.queued += n
