@@ -44,17 +44,6 @@ type coreState struct {
 	idleSec  float64
 }
 
-// quantumDelta is the per-core result of executing one quantum, merged into
-// machine state after all cores ran, in core order.
-type quantumDelta struct {
-	instr      float64
-	missLocal  float64
-	missRemote float64
-	computeSec float64
-	stallSec   float64
-	idleSec    float64
-}
-
 // Component is stepped at a fixed simulated period; the Cuttlefish daemon
 // and trace recorders are components. Tick returns the CPU time the
 // component consumed on its pinned core, which the machine steals from that
@@ -563,22 +552,23 @@ func (m *Machine) runBatch(quanta int) {
 		if duty <= 0 || duty > 1 {
 			duty = 1
 		}
-		e.snaps[i] = coreSnap{hz: c.ratio.Hz(), ghz: c.ratio.GHz(), duty: duty, stolen: c.stolen}
-		c.stolen = 0
-		r := coreRun{seg: c.seg, segLeft: c.segLeft, haveSeg: c.haveSeg}
-		if r.haveSeg {
-			// Refresh the cached cost coefficients for a segment carried
-			// across the batch boundary: DVFS or DDCM writes between
-			// batches must take effect on its remaining instructions.
-			ipc := r.seg.IPC
-			if ipc <= 0 {
-				ipc = m.cfg.BaseIPC
-			}
-			r.invCompute = 1 / (ipc * e.snaps[i].hz * duty)
-			r.stallCoef = r.seg.MissPerInstr * r.seg.StallFraction()
+		ec := &e.cores[i]
+		*ec = engineCore{
+			hz:      c.ratio.Hz(),
+			duty:    duty,
+			stolen:  c.stolen,
+			power:   m.cfg.Power.CoreTerms(c.ratio.GHz()),
+			seg:     c.seg,
+			segLeft: c.segLeft,
+			haveSeg: c.haveSeg,
 		}
-		e.runs[i] = r
-		e.accum[i] = quantumDelta{}
+		c.stolen = 0
+		if ec.haveSeg {
+			// Price a segment carried across the batch boundary at this
+			// batch's clock: DVFS or DDCM writes between batches must take
+			// effect on its remaining instructions.
+			ec.price(ec.seg)
+		}
 	}
 	e.src = m.src
 	e.firmware = m.firmware
@@ -586,9 +576,13 @@ func (m *Machine) runBatch(quanta int) {
 	e.dt = m.cfg.QuantumSec
 	e.now = m.now
 	e.demandEWMA = m.demandEWMA
-	e.uncore = m.uncoreRatio
+	// The uncore terms are recomputed only when the ratio moved since
+	// they were computed: by an MSR 0x620 write or Restore.
+	if m.uncoreRatio != e.unc.ratio {
+		e.unc = uncoreAt(&m.cfg, m.uncoreRatio)
+	}
 	e.uncoreMin, e.uncoreMax = m.uncoreMin, m.uncoreMax
-	e.stall = m.cfg.Mem.StallPerMiss(e.uncore.GHz(), e.demandEWMA)
+	e.stall = m.cfg.Mem.StallAt(e.unc.latency, m.cfg.Mem.UtilizationAt(e.demandEWMA, e.unc.bandwidth))
 	e.quanta = quanta
 	e.quantum = 0
 	e.batchOver = false
@@ -603,16 +597,15 @@ func (m *Machine) runBatch(quanta int) {
 	m.mu.Lock()
 	for i := range m.cores {
 		c := &m.cores[i]
-		r := &e.runs[i]
-		c.seg, c.segLeft, c.haveSeg = r.seg, r.segLeft, r.haveSeg
-		a := &e.accum[i]
-		c.busySec += a.computeSec
-		c.stallSec += a.stallSec
-		c.idleSec += a.idleSec
+		ec := &e.cores[i]
+		c.seg, c.segLeft, c.haveSeg = ec.seg, ec.segLeft, ec.haveSeg
+		c.busySec += ec.computeSec
+		c.stallSec += ec.stallSec
+		c.idleSec += ec.idleSec
 	}
 	m.now = e.now
 	m.demandEWMA = e.demandEWMA
-	m.uncoreRatio = e.uncore
+	m.uncoreRatio = e.unc.ratio
 	m.totalInstr += e.totInstr
 	m.totalMissL += e.totMissL
 	m.totalMissR += e.totMissR
@@ -632,8 +625,8 @@ func (m *Machine) runBatch(quanta int) {
 		m.pmu.AddTor(e.totMissL, e.totMissR)
 	}
 	if e.totInstr > 0 {
-		for i := range e.accum {
-			e.retired[i] = e.accum[i].instr
+		for i := range e.cores {
+			e.retired[i] = e.cores[i].instr
 		}
 		m.pmu.AddRetiredBatch(e.retired)
 	}

@@ -129,13 +129,20 @@ func (m *Machine) Snapshot() *Snapshot {
 // machine, attach the same governor, then Restore. MSR cells are restored
 // raw (no handler side effects): the handlers' backing state — core
 // ratios, duty, uncore range, PMU, RAPL — is restored directly, so
-// re-actuating writes would be redundant at best.
+// re-actuating writes would be redundant at best. A snapshot whose core
+// holds a segment that fails Segment.Valid is rejected, as the engine
+// rejects such a segment from a source.
 func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.Cores) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot has %d cores, config has %d", len(s.Cores), m.cfg.Cores)
 	}
 	if len(s.PMUInstr) != m.cfg.Cores {
 		return fmt.Errorf("machine: snapshot PMU has %d cores, config has %d", len(s.PMUInstr), m.cfg.Cores)
+	}
+	for i, c := range s.Cores {
+		if c.HaveSeg && !c.Seg.Valid() {
+			return fmt.Errorf("machine: snapshot core %d holds invalid segment %v", i, c.Seg)
+		}
 	}
 	m.mu.Lock()
 	comps := m.events.componentsBySeq()

@@ -93,3 +93,33 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsInvalidSegment: a snapshot whose core holds a segment
+// that fails Segment.Valid (here IPC 0, which the engine could not price)
+// is refused before any state is overwritten; the same segment on a core
+// that holds nothing is inert and restores.
+func TestRestoreRejectsInvalidSegment(t *testing.T) {
+	s := midRunMachine(t).Snapshot()
+	held := -1
+	for i, c := range s.Cores {
+		if c.HaveSeg {
+			held = i
+			break
+		}
+	}
+	if held < 0 {
+		t.Fatal("no core holds a segment at the snapshot point")
+	}
+	s.Cores[held].Seg.IPC = 0
+	m := MustNew(smallConfig())
+	if err := m.Restore(s); err == nil {
+		t.Fatal("snapshot with an invalid in-flight segment restored")
+	}
+	if m.Now() != 0 {
+		t.Errorf("rejected restore moved the clock to %g", m.Now())
+	}
+	s.Cores[held].HaveSeg = false
+	if err := m.Restore(s); err != nil {
+		t.Errorf("invalid segment on an idle core: %v", err)
+	}
+}

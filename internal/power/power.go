@@ -21,7 +21,7 @@ type VFCurve struct {
 }
 
 // Voltage returns the operating voltage at fGHz.
-func (c VFCurve) Voltage(fGHz float64) float64 { return c.V0 + c.Slope*fGHz }
+func (c VFCurve) Voltage(fGHz float64) float64 { return c.V0 + float64(c.Slope*fGHz) }
 
 // Params are the package power-model coefficients.
 type Params struct {
@@ -70,23 +70,45 @@ func DefaultParams() Params {
 	}
 }
 
+// Terms are one power domain's coefficients at a fixed frequency: at
+// activity a the domain draws Dyn·max(a, Floor) + Leak watts. A caller
+// that holds the frequency fixed over many activity samples computes them
+// once.
+type Terms struct {
+	Dyn   float64 // dynamic coefficient Dyn·V²·f, watts at activity 1
+	Leak  float64 // leakage Leak·V, watts
+	Floor float64 // activity floor of the idle domain
+}
+
+// Power returns the domain's power at the given activity in [0,1].
+func (t Terms) Power(activity float64) float64 {
+	if activity < t.Floor {
+		activity = t.Floor
+	}
+	return float64(t.Dyn*activity) + t.Leak
+}
+
+// CoreTerms returns one core's coefficients at fGHz.
+func (p Params) CoreTerms(fGHz float64) Terms {
+	v := p.CoreVF.Voltage(fGHz)
+	return Terms{Dyn: p.CoreDyn * v * v * fGHz, Leak: float64(p.CoreLeak * v), Floor: p.CoreIdleActivity}
+}
+
+// UncoreTerms returns the uncore's coefficients at fGHz.
+func (p Params) UncoreTerms(fGHz float64) Terms {
+	v := p.UncoreVF.Voltage(fGHz)
+	return Terms{Dyn: p.UncoreDyn * v * v * fGHz, Leak: float64(p.UncoreLeak * v), Floor: p.UncoreIdleActivity}
+}
+
 // CorePower returns the power of one core at fGHz with the given activity
 // in [0,1]. Activity folds together architectural utilisation and the
 // reduced switching of memory-stalled cycles.
 func (p Params) CorePower(fGHz, activity float64) float64 {
-	v := p.CoreVF.Voltage(fGHz)
-	if activity < p.CoreIdleActivity {
-		activity = p.CoreIdleActivity
-	}
-	return p.CoreDyn*v*v*fGHz*activity + p.CoreLeak*v
+	return p.CoreTerms(fGHz).Power(activity)
 }
 
 // UncorePower returns the power of the uncore at fGHz with the given traffic
 // activity in [0,1] (LLC/ring utilisation).
 func (p Params) UncorePower(fGHz, activity float64) float64 {
-	v := p.UncoreVF.Voltage(fGHz)
-	if activity < p.UncoreIdleActivity {
-		activity = p.UncoreIdleActivity
-	}
-	return p.UncoreDyn*v*v*fGHz*activity + p.UncoreLeak*v
+	return p.UncoreTerms(fGHz).Power(activity)
 }

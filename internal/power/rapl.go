@@ -52,7 +52,7 @@ func (r *Rapl) Deposit(joules, now float64) {
 func (r *Rapl) publishLocked(now float64) {
 	total := r.pendingJ + r.residualJ
 	ticks := math.Floor(total / r.unitJ)
-	r.residualJ = total - ticks*r.unitJ
+	r.residualJ = total - float64(ticks*r.unitJ)
 	r.pendingJ = 0
 	r.counter += uint32(ticks) // wraps naturally at 2^32
 	r.lastPublish = now
