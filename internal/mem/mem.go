@@ -93,14 +93,9 @@ func (p Params) Bandwidth(ufGHz float64) float64 {
 	return p.PeakBandwidth * (p.BWFloorFrac + float64((1-p.BWFloorFrac)*frac))
 }
 
-// Utilization returns demand/bandwidth clamped to MaxUtilization; demand is
-// in misses/second.
-func (p Params) Utilization(demand, ufGHz float64) float64 {
-	return p.UtilizationAt(demand, p.Bandwidth(ufGHz))
-}
-
-// UtilizationAt is Utilization against a bandwidth already in hand, for
-// callers that cache Bandwidth per uncore frequency.
+// UtilizationAt returns demand/bw clamped to MaxUtilization; demand and
+// bw are in misses/second (bw from Bandwidth, which callers cache per
+// uncore frequency).
 func (p Params) UtilizationAt(demand, bw float64) float64 {
 	if bw <= 0 {
 		return p.MaxUtilization
@@ -127,21 +122,7 @@ func QueueFactor(rho float64) float64 {
 	return 1 + rho*rho/(2*(1-rho))
 }
 
-// LoadedLatency returns the per-miss latency in seconds at the given uncore
-// frequency under the given demand (misses/second).
-func (p Params) LoadedLatency(ufGHz, demand float64) float64 {
-	return loaded(p.Latency(ufGHz), p.Utilization(demand, ufGHz))
-}
-
-// StallPerMiss converts loaded latency into the per-miss stall time a core
-// observes after MLP overlap.
-func (p Params) StallPerMiss(ufGHz, demand float64) float64 {
-	return p.StallAt(p.Latency(ufGHz), p.Utilization(demand, ufGHz))
-}
-
-// StallAt is StallPerMiss from an unloaded latency and a utilisation
-// already in hand, for callers that cache Latency per uncore frequency.
-func (p Params) StallAt(latency, rho float64) float64 { return loaded(latency, rho) / p.MLP }
-
-// loaded inflates an unloaded latency by the queueing delay at rho.
-func loaded(latency, rho float64) float64 { return latency * QueueFactor(rho) }
+// StallAt returns the per-miss stall time a core observes after MLP
+// overlap: the unloaded latency (from Latency, which callers cache per
+// uncore frequency) inflated by the queueing delay at utilisation rho.
+func (p Params) StallAt(latency, rho float64) float64 { return latency * QueueFactor(rho) / p.MLP }

@@ -68,10 +68,10 @@ func TestBandwidthShape(t *testing.T) {
 
 func TestUtilizationClamps(t *testing.T) {
 	p := DefaultParams()
-	if rho := p.Utilization(1e12, 3.0); rho != p.MaxUtilization {
+	if rho := p.UtilizationAt(1e12, p.Bandwidth(3.0)); rho != p.MaxUtilization {
 		t.Errorf("overload utilisation = %g, want cap %g", rho, p.MaxUtilization)
 	}
-	if rho := p.Utilization(-5, 3.0); rho != 0 {
+	if rho := p.UtilizationAt(-5, p.Bandwidth(3.0)); rho != 0 {
 		t.Errorf("negative demand utilisation = %g, want 0", rho)
 	}
 }
@@ -90,8 +90,9 @@ func TestQueueFactor(t *testing.T) {
 
 func TestLoadedLatencyMonotoneInDemand(t *testing.T) {
 	p := DefaultParams()
-	low := p.LoadedLatency(2.2, 0.1e9)
-	high := p.LoadedLatency(2.2, 1.2e9)
+	bw, lat := p.Bandwidth(2.2), p.Latency(2.2)
+	low := p.StallAt(lat, p.UtilizationAt(0.1e9, bw))
+	high := p.StallAt(lat, p.UtilizationAt(1.2e9, bw))
 	if high <= low {
 		t.Error("loaded latency must grow with demand")
 	}
@@ -99,7 +100,7 @@ func TestLoadedLatencyMonotoneInDemand(t *testing.T) {
 
 func TestStallPerMissUsesMLP(t *testing.T) {
 	p := DefaultParams()
-	if got, want := p.StallPerMiss(3.0, 0), p.Latency(3.0)/p.MLP; got != want {
+	if got, want := p.StallAt(p.Latency(3.0), 0), p.Latency(3.0)/p.MLP; got != want {
 		t.Errorf("stall per miss = %g, want %g", got, want)
 	}
 }
@@ -112,7 +113,7 @@ func TestStallBoundsQuick(t *testing.T) {
 	prop := func(ufRaw uint8, demandRaw uint32) bool {
 		uf := 1.2 + float64(ufRaw%19)*0.1
 		demand := float64(demandRaw) // up to ~4e9 misses/s
-		s := p.StallPerMiss(uf, demand)
+		s := p.StallAt(p.Latency(uf), p.UtilizationAt(demand, p.Bandwidth(uf)))
 		return s > 0 && s <= bound+1e-15
 	}
 	if err := quick.Check(prop, nil); err != nil {

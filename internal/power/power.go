@@ -99,16 +99,3 @@ func (p Params) UncoreTerms(fGHz float64) Terms {
 	v := p.UncoreVF.Voltage(fGHz)
 	return Terms{Dyn: p.UncoreDyn * v * v * fGHz, Leak: float64(p.UncoreLeak * v), Floor: p.UncoreIdleActivity}
 }
-
-// CorePower returns the power of one core at fGHz with the given activity
-// in [0,1]. Activity folds together architectural utilisation and the
-// reduced switching of memory-stalled cycles.
-func (p Params) CorePower(fGHz, activity float64) float64 {
-	return p.CoreTerms(fGHz).Power(activity)
-}
-
-// UncorePower returns the power of the uncore at fGHz with the given traffic
-// activity in [0,1] (LLC/ring utilisation).
-func (p Params) UncorePower(fGHz, activity float64) float64 {
-	return p.UncoreTerms(fGHz).Power(activity)
-}

@@ -18,12 +18,12 @@ func TestVoltageCurveMonotone(t *testing.T) {
 
 func TestCorePowerShape(t *testing.T) {
 	p := DefaultParams()
-	busyLow := p.CorePower(1.2, 1)
-	busyHigh := p.CorePower(2.3, 1)
+	busyLow := p.CoreTerms(1.2).Power(1)
+	busyHigh := p.CoreTerms(2.3).Power(1)
 	if busyHigh <= busyLow {
 		t.Error("busy core power must rise with frequency")
 	}
-	idle := p.CorePower(2.3, 0)
+	idle := p.CoreTerms(2.3).Power(0)
 	if idle >= busyHigh {
 		t.Error("idle power must be below busy power")
 	}
@@ -34,7 +34,7 @@ func TestCorePowerShape(t *testing.T) {
 
 func TestPackageBudgetNearTDP(t *testing.T) {
 	p := DefaultParams()
-	pkg := 20*p.CorePower(2.3, 1) + p.UncorePower(3.0, 1) + p.Base
+	pkg := 20*p.CoreTerms(2.3).Power(1) + p.UncoreTerms(3.0).Power(1) + p.Base
 	if pkg < 70 || pkg > 130 {
 		t.Errorf("full-tilt package power = %.1f W, want near the 105 W TDP", pkg)
 	}
@@ -47,10 +47,10 @@ func TestLeakageAmortisation(t *testing.T) {
 	// must be decreasing across the whole DVFS grid so that Cuttlefish
 	// resolves CFopt = CFmax for low-TIPI slabs (Table 2).
 	p := DefaultParams()
-	shared := p.UncorePower(2.2, 0) + p.Base
+	shared := p.UncoreTerms(2.2).Power(0) + p.Base
 	prev := math.Inf(1)
 	for f := 1.2; f <= 2.31; f += 0.1 {
-		pkg := 20*p.CorePower(f, 1) + shared
+		pkg := 20*p.CoreTerms(f).Power(1) + shared
 		jpi := pkg / (20 * 2.0 * f) // ipc 2, f in GHz: arbitrary units
 		if jpi >= prev {
 			t.Errorf("compute-bound package JPI not decreasing at %.1f GHz", f)
@@ -65,8 +65,8 @@ func TestUncorePowerMattersAtIdleTraffic(t *testing.T) {
 	// compute-bound codes. The uncore floor-power delta must therefore be
 	// a noticeable slice of a ~75 W compute-bound package.
 	p := DefaultParams()
-	delta := p.UncorePower(2.2, 0) - p.UncorePower(1.2, 0)
-	pkg := 20*p.CorePower(2.3, 1) + p.UncorePower(2.2, 0) + p.Base
+	delta := p.UncoreTerms(2.2).Power(0) - p.UncoreTerms(1.2).Power(0)
+	pkg := 20*p.CoreTerms(2.3).Power(1) + p.UncoreTerms(2.2).Power(0) + p.Base
 	if frac := delta / pkg; frac < 0.04 || frac > 0.15 {
 		t.Errorf("uncore 2.2→1.2 GHz saves %.1f%% of package, want 4-15%%", frac*100)
 	}
@@ -74,7 +74,7 @@ func TestUncorePowerMattersAtIdleTraffic(t *testing.T) {
 
 func TestUncoreActivityFloor(t *testing.T) {
 	p := DefaultParams()
-	if p.UncorePower(2.2, 0) != p.UncorePower(2.2, p.UncoreIdleActivity) {
+	if p.UncoreTerms(2.2).Power(0) != p.UncoreTerms(2.2).Power(p.UncoreIdleActivity) {
 		t.Error("activity below the floor should clamp to the floor")
 	}
 }
@@ -84,7 +84,7 @@ func TestPowerPositiveQuick(t *testing.T) {
 	f := func(fRaw, aRaw uint8) bool {
 		fGHz := 1.2 + float64(fRaw%19)*0.1
 		act := float64(aRaw) / 255
-		return p.CorePower(fGHz, act) > 0 && p.UncorePower(fGHz, act) > 0
+		return p.CoreTerms(fGHz).Power(act) > 0 && p.UncoreTerms(fGHz).Power(act) > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
